@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet test race corpus update-goldens bench-smoke profile bench fig2-ledger dataplane-ledger recovery-ledger scale-ledger tenk-ledger ctrlplane-ledger stateplane-ledger faultsearch-ledger
+.PHONY: check fmt build vet test race corpus update-goldens bench-smoke profile bench fig2-ledger dataplane-ledger recovery-ledger scale-ledger tenk-ledger ctrlplane-ledger stateplane-ledger faultsearch-ledger
 
-# check is the full gate: vet, build, race-enabled tests, the self-verifying
-# scenario corpus under the full differential matrix, and the benchmark smoke
-# pass (every registered benchmark plus the equivalence/allocation pins).
-check: vet build race corpus bench-smoke
+# check is the full gate: gofmt-clean sources, vet, build, race-enabled tests,
+# the self-verifying scenario corpus under the full differential matrix, and
+# the benchmark smoke pass (every registered benchmark plus the
+# equivalence/allocation pins).
+check: fmt vet build race corpus bench-smoke
+
+# fmt fails listing any Go file gofmt would rewrite.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -49,10 +54,11 @@ bench-smoke:
 	$(GO) test -run 'TestScenarios(FramePoolEquivalence|PoisonedPool)' -count=1 ./internal/script/
 	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/core/ ./internal/pimdm/ ./internal/dvmrp/ ./internal/cbt/ ./internal/mospf/ ./internal/igmp/
 	$(GO) test -run 'TestFlatMapStoreLockstep' -count=1 ./internal/mfib/
-	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/script/ ./internal/netsim/... ./internal/parallel/... ./internal/faultsearch/ ./internal/faults/ ./internal/mfib/
+	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/script/ ./internal/netsim/... ./internal/parallel/... ./internal/faultsearch/ ./internal/faults/ ./internal/mfib/ ./internal/unicast/
 	$(GO) test -run XXX -bench 'BenchmarkDijkstraReuse|BenchmarkLANDeliver|BenchmarkScheduler(Churn|Dense)' -benchtime 10x ./internal/topology/ ./internal/netsim/
 	$(GO) test -run XXX -bench 'BenchmarkEngineFig2a' -benchtime 1x .
 	$(GO) test -run XXX -bench 'BenchmarkLPM(Trie|Linear)256' -benchtime 10x ./internal/unicast/
+	$(GO) test -run XXX -bench 'BenchmarkOracleRecompute(50|1000)$$' -benchtime 1x ./internal/unicast/
 	$(GO) test -run XXX -bench 'BenchmarkRPF(CacheHit|Uncached)' -benchtime 10x ./internal/rpf/
 	$(GO) test -run XXX -bench 'BenchmarkFanout(Compiled|Reference)' -benchtime 10x ./internal/mfib/
 	$(GO) test -run XXX -bench 'BenchmarkDataplane(Shared|Dense)(Fast|Ref)' -benchtime 1x ./internal/experiments/

@@ -77,15 +77,15 @@ func (c Class) suffix() string {
 // convergence C and script time t maps to simulated C+2s+t, so t ≡ 8
 // (mod 10) lands exactly on the fast-timer tick grid C+10ks).
 type Clause struct {
-	Kind  Kind
-	Edge  int // loss/reorder: -1 = all links; cut/flap: required
-	Router int // crash only
-	Start int // seconds; crash/cut: fault onset
-	Stop  int // seconds; loss/reorder cleared, crashed router restarted, cut edge restored
-	Rate  float64     // loss
-	Window netsim.Time // reorder
-	Class Class       // loss/reorder
-	Down, Up, Cycles int // flap: seconds per half-cycle, cycle count
+	Kind             Kind
+	Edge             int         // loss/reorder: -1 = all links; cut/flap: required
+	Router           int         // crash only
+	Start            int         // seconds; crash/cut: fault onset
+	Stop             int         // seconds; loss/reorder cleared, crashed router restarted, cut edge restored
+	Rate             float64     // loss
+	Window           netsim.Time // reorder
+	Class            Class       // loss/reorder
+	Down, Up, Cycles int         // flap: seconds per half-cycle, cycle count
 }
 
 // scope is the dedupe key: at most one clause per (kind, target), so a
@@ -127,9 +127,9 @@ func (c Clause) String() string {
 // protocol configuration, a fault seed (the injector's loss/reorder stream
 // seed), and the fault clauses.
 type Schedule struct {
-	Topo   string // template name (see Templates)
-	Proto  string // protocol config name (see Protocols)
-	Seed   int64  // faultseed for the rendered script
+	Topo    string // template name (see Templates)
+	Proto   string // protocol config name (see Protocols)
+	Seed    int64  // faultseed for the rendered script
 	Clauses []Clause
 }
 
@@ -165,14 +165,14 @@ type Oracle struct {
 //     and sent to only after the grace period, whose delivery floor no
 //     legitimate recovery can miss.
 type Template struct {
-	Name    string
-	Edges   string // `topo edges` operand
-	NumEdges int
-	Routers int
-	RP      string // rendered for protocols with NeedsRP (doubles as CBT core)
-	Transit []int  // crash candidates: routers hosting no script host
+	Name             string
+	Edges            string // `topo edges` operand
+	NumEdges         int
+	Routers          int
+	RP               string // rendered for protocols with NeedsRP (doubles as CBT core)
+	Transit          []int  // crash candidates: routers hosting no script host
 	Src, Recv, Probe string // router refs for the three hosts
-	Oracles []Oracle
+	Oracles          []Oracle
 }
 
 // The schedule timeline constants (script seconds).
@@ -198,30 +198,30 @@ const (
 // 2-hop paths, so cuts and crashes force reroutes).
 var Templates = []Template{
 	{
-		Name:    "chain3",
-		Edges:   "0-1 1-2",
+		Name:     "chain3",
+		Edges:    "0-1 1-2",
 		NumEdges: 2,
-		Routers: 3,
-		RP:      "r1",
-		Transit: []int{1},
-		Src:     "r0",
-		Recv:    "r2",
-		Probe:   "r2",
+		Routers:  3,
+		RP:       "r1",
+		Transit:  []int{1},
+		Src:      "r0",
+		Recv:     "r2",
+		Probe:    "r2",
 		Oracles: []Oracle{
 			{Host: "recv", Group: "G0", Min: 50},
 			{Host: "probe", Group: "G1", Min: 8},
 		},
 	},
 	{
-		Name:    "diamond4",
-		Edges:   "0-1 0-2 1-3 2-3",
+		Name:     "diamond4",
+		Edges:    "0-1 0-2 1-3 2-3",
 		NumEdges: 4,
-		Routers: 4,
-		RP:      "r1",
-		Transit: []int{1, 2},
-		Src:     "r0",
-		Recv:    "r3",
-		Probe:   "r3",
+		Routers:  4,
+		RP:       "r1",
+		Transit:  []int{1, 2},
+		Src:      "r0",
+		Recv:     "r3",
+		Probe:    "r3",
 		Oracles: []Oracle{
 			{Host: "recv", Group: "G0", Min: 50},
 			{Host: "probe", Group: "G1", Min: 8},

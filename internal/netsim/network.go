@@ -142,6 +142,9 @@ type Network struct {
 	Jitter func(from *Iface, pkt *packet.Packet) Time
 
 	byAddr map[addr.IP]*Iface
+	// topoGen counts operational-state changes of links and interfaces
+	// (see TopoGen).
+	topoGen uint64
 	// set is non-nil once Shard() has partitioned the network for parallel
 	// execution (see shards.go).
 	set *shardSet
@@ -212,6 +215,7 @@ func (n *Network) SetLinkUp(l *Link, up bool) {
 		return
 	}
 	l.up = up
+	n.topoGen++
 	for _, ifc := range l.Ifaces {
 		for _, fn := range ifc.Node.onLinkChange {
 			fn(ifc)
@@ -229,6 +233,7 @@ func (n *Network) SetIfaceUp(ifc *Iface, up bool) {
 		return
 	}
 	ifc.up = up
+	n.topoGen++
 	if ifc.Link == nil {
 		for _, fn := range ifc.Node.onLinkChange {
 			fn(ifc)
@@ -241,6 +246,13 @@ func (n *Network) SetIfaceUp(ifc *Iface, up bool) {
 		}
 	}
 }
+
+// TopoGen returns the topology generation: a counter bumped by every
+// SetLinkUp and SetIfaceUp that changes state, before the link-change
+// subscribers run. One change notifies every attached node; a subscriber
+// that derives network-wide state (the unicast oracle) compares generations
+// to do its work once per change instead of once per callback.
+func (n *Network) TopoGen() uint64 { return n.topoGen }
 
 // IfaceByAddr resolves an interface address.
 func (n *Network) IfaceByAddr(ip addr.IP) *Iface { return n.byAddr[ip] }

@@ -151,6 +151,33 @@ func TestWarmLookupAllocFree(t *testing.T) {
 	}
 }
 
+// TestRebuildAllocFree pins the trie's node reuse: once a table has been
+// looked up, a withdrawal and re-install followed by a lookup (one full
+// rebuild each) allocates nothing, and the rebuilt trie still answers like
+// the linear scan.
+func TestRebuildAllocFree(t *testing.T) {
+	tb := benchTable(256)
+	p := addr.MustPrefix(addr.V4(10, 200, 3, 0), 24)
+	r, _ := tb.Get(p)
+	dst := addr.V4(10, 200, 3, 2)
+	tb.Lookup(dst)
+	if n := testing.AllocsPerRun(100, func() {
+		tb.Delete(p)
+		tb.Lookup(dst)
+		tb.Set(p, r)
+		tb.Lookup(dst)
+	}); n != 0 {
+		t.Errorf("rebuild allocates %.1f per run", n)
+	}
+	for _, d := range []addr.IP{dst, addr.V4(10, 100, 7, 1), addr.V4(10, 9, 9, 9), addr.V4(99, 9, 9, 9)} {
+		got, gok := tb.Lookup(d)
+		want, wok := tb.lookupLinear(d)
+		if got != want || gok != wok {
+			t.Errorf("Lookup(%v) = %v,%v after rebuilds, linear scan %v,%v", d, got, gok, want, wok)
+		}
+	}
+}
+
 // benchTable builds a table shaped like a scenario unicast table: n /24
 // link prefixes under 10.100/10.200 plus a handful of aggregates.
 func benchTable(n int) *Table {

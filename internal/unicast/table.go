@@ -15,6 +15,7 @@
 package unicast
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -55,14 +56,18 @@ type tableEntry struct {
 	route  Route
 }
 
-// entryLess orders entries by descending prefix length, then address — the
-// scan order that makes the linear reference lookup a longest-prefix match.
-func entryLess(a, b tableEntry) bool {
-	if a.prefix.Len != b.prefix.Len {
-		return a.prefix.Len > b.prefix.Len
+// comparePrefix orders prefixes by descending length, then address — the
+// table order: the scan order that makes the linear reference lookup a
+// longest-prefix match.
+func comparePrefix(a, b addr.Prefix) int {
+	if a.Len != b.Len {
+		return b.Len - a.Len
 	}
-	return a.prefix.Addr < b.prefix.Addr
+	return cmp.Compare(a.Addr, b.Addr)
 }
+
+// entryLess orders entries in table order.
+func entryLess(a, b tableEntry) bool { return comparePrefix(a.prefix, b.prefix) < 0 }
 
 // Table is a longest-prefix-match routing table. It is the concrete store
 // shared by all three Router implementations. The sorted entry slice is the
@@ -208,14 +213,21 @@ func (t *Table) Replace(entries map[addr.Prefix]Route) bool {
 		t.entries = append(t.entries, tableEntry{prefix: p, route: r})
 	}
 	slices.SortFunc(t.entries, func(a, b tableEntry) int {
-		if entryLess(a, b) {
-			return -1
-		}
-		if entryLess(b, a) {
-			return 1
-		}
-		return 0
+		return comparePrefix(a.prefix, b.prefix)
 	})
+	t.trie.dirty = true
+	return true
+}
+
+// replaceSorted is Replace for entries already in table order with unique
+// prefixes: it copies them in (reusing the table's storage) and reports
+// whether anything changed. The caller keeps ownership of entries.
+func (t *Table) replaceSorted(entries []tableEntry) bool {
+	if slices.Equal(t.entries, entries) {
+		return false
+	}
+	t.gen++
+	t.entries = append(t.entries[:0], entries...)
 	t.trie.dirty = true
 	return true
 }

@@ -16,6 +16,9 @@ import "pim/internal/addr"
 // rebuilt from the authoritative sorted entry slice on the next lookup.
 // Route withdrawals are rare next to the per-packet lookups and the
 // convergence-time insert storms that the incremental path keeps cheap.
+// A rebuild clears and reuses the nodes the trie already owns, so a table
+// rewrite (every table, after one link change under the oracle) allocates
+// nothing once the trie has reached its size.
 //
 // Routes with InfMetric never enter the trie, mirroring the reference
 // scan's "unreachable routes do not shadow shorter reachable prefixes"
@@ -23,6 +26,10 @@ import "pim/internal/addr"
 type lpmTrie struct {
 	root  *trieNode
 	dirty bool
+	// nodes is every node the trie owns, in allocation order; the first
+	// used of them are the live ones (root first).
+	nodes []*trieNode
+	used  int
 }
 
 // trieNode is one 256-way level. lens[i] is the length of the prefix whose
@@ -35,8 +42,14 @@ type trieNode struct {
 	lens     [256]int16
 }
 
-func newTrieNode() *trieNode {
-	n := &trieNode{}
+// node returns an empty node, reusing one the trie owns when it can.
+func (t *lpmTrie) node() *trieNode {
+	if t.used == len(t.nodes) {
+		t.nodes = append(t.nodes, new(trieNode))
+	}
+	n := t.nodes[t.used]
+	t.used++
+	*n = trieNode{}
 	for i := range n.lens {
 		n.lens[i] = -1
 	}
@@ -47,7 +60,7 @@ func newTrieNode() *trieNode {
 // current covering prefix is no longer than p.Len.
 func (t *lpmTrie) insert(p addr.Prefix, r Route) {
 	if t.root == nil {
-		t.root = newTrieNode()
+		t.root = t.node()
 	}
 	n := t.root
 	// Walk the fully-specified leading bytes.
@@ -56,7 +69,7 @@ func (t *lpmTrie) insert(p addr.Prefix, r Route) {
 		b := byte(p.Addr >> (24 - 8*depth))
 		child := n.children[b]
 		if child == nil {
-			child = newTrieNode()
+			child = t.node()
 			n.children[b] = child
 		}
 		n = child
@@ -98,7 +111,8 @@ func (t *lpmTrie) lookup(dst addr.IP) (Route, bool) {
 // inserting in reverse order means every slot write wins (lens monotonically
 // grow), but insert's covering check makes order irrelevant anyway.
 func (t *lpmTrie) rebuild(entries []tableEntry) {
-	t.root = newTrieNode()
+	t.used = 0
+	t.root = t.node()
 	t.dirty = false
 	for i := len(entries) - 1; i >= 0; i-- {
 		if entries[i].route.Metric < InfMetric {

@@ -1,12 +1,15 @@
 package unicast
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"pim/internal/addr"
 	"pim/internal/netsim"
 	"pim/internal/packet"
+	"pim/internal/topology"
 )
 
 func TestTableLongestPrefixMatch(t *testing.T) {
@@ -214,7 +217,7 @@ func TestDVConvergesToShortestPaths(t *testing.T) {
 	net, nodes, dvs := runDVLine(t, 5)
 	o := NewOracle(net)
 	for i, dv := range dvs {
-		want := o.tables[nodes[i]]
+		want := o.RouterFor(nodes[i]).(*Table)
 		for _, p := range want.Prefixes() {
 			wr, _ := want.Get(p)
 			gr, ok := dv.Table().Lookup(p.Addr)
@@ -271,7 +274,7 @@ func TestLSConvergesToShortestPaths(t *testing.T) {
 	net, nodes, lss := runLSLine(t, 5)
 	o := NewOracle(net)
 	for i, ls := range lss {
-		want := o.tables[nodes[i]]
+		want := o.RouterFor(nodes[i]).(*Table)
 		for _, p := range want.Prefixes() {
 			wr, _ := want.Get(p)
 			gr, ok := ls.Table().Lookup(p.Addr)
@@ -430,6 +433,37 @@ func TestNewerSeq(t *testing.T) {
 
 func BenchmarkOracleRecompute50(b *testing.B) {
 	net, _ := buildLine(50, netsim.Millisecond)
+	o := NewOracle(net)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.Recompute()
+	}
+}
+
+// BenchmarkOracleRecompute1000 recomputes all tables of a 1000-router
+// degree-4 random internet with unit-to-4 ms delays in which every third
+// router has a stub LAN of itself, one host and a silent unnumbered anchor
+// (the layout scenario.AddHost builds): 1668 nodes, about the size of the
+// sparse-SM end-to-end workload.
+func BenchmarkOracleRecompute1000(b *testing.B) {
+	g := topology.Random(topology.GenConfig{Nodes: 1000, Degree: 4, MinDelay: 1, MaxDelay: 4}, rand.New(rand.NewSource(1)))
+	net := netsim.NewNetwork()
+	routers := make([]*netsim.Node, g.N())
+	for i := range routers {
+		routers[i] = net.AddNode(fmt.Sprintf("r%d", i))
+	}
+	for ei, e := range g.Edges() {
+		a := net.AddIface(routers[e.A], addr.V4(10, byte(200+ei/256), byte(ei%256), 1))
+		c := net.AddIface(routers[e.B], addr.V4(10, byte(200+ei/256), byte(ei%256), 2))
+		net.Connect(a, c, netsim.Time(e.Delay)*netsim.Millisecond)
+	}
+	for r := 0; r < g.N(); r += 3 {
+		rif := net.AddIface(routers[r], addr.V4(10, byte(100+r/256), byte(r%256), 254))
+		hif := net.AddIface(net.AddNode(fmt.Sprintf("h%d", r)), addr.V4(10, byte(100+r/256), byte(r%256), 1))
+		anchor := net.AddIface(net.AddNode(fmt.Sprintf("lan%d", r)), 0)
+		net.ConnectLAN(netsim.Millisecond, rif, hif, anchor)
+	}
 	o := NewOracle(net)
 	b.ReportAllocs()
 	b.ResetTimer()
