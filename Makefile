@@ -42,15 +42,21 @@ update-goldens:
 # (`pimbench run all -smoke` — a new benchmark registered via bench.Register
 # joins this gate with no Makefile edit), repeats the scaling sweep with 4
 # shards to exercise the sharded-execution gate (DESIGN.md §12), replays a
-# fault scenario under the online invariant checker (§10), pins the pooled
-# frame path (equivalence + poison-on-release, §13) and the per-engine
-# AllocsPerRun counts, runs the focused race passes the old per-subsystem
+# fault scenario under the online invariant checker (§10), runs the §4
+# dense/sparse walkthrough (examples/interop) and fails unless the dense
+# region's membership reaches the border and its member receives the sparse
+# source's packets, pins the pooled frame path (equivalence +
+# poison-on-release, §13) and the per-engine AllocsPerRun counts, runs the focused race passes the old per-subsystem
 # smokes carried, and compiles-and-runs the perf-sensitive microbenchmarks so
 # a regression that breaks them (not just slows them) is caught by `make check`.
 bench-smoke:
 	$(GO) run ./cmd/pimbench run all -smoke
 	$(GO) run ./cmd/pimbench run scaling -smoke -shards 4
 	$(GO) run ./cmd/pimscript -check scenarios/rpfailover.pim
+	@out=$$($(GO) run ./examples/interop) && echo "$$out" && \
+		echo "$$out" | grep -qF 'member-existence flooded to the border: true' && \
+		echo "$$out" | grep -qF 'dense-region member received: 5/5' || \
+		{ echo "examples/interop: dense-region membership did not reach the border"; exit 1; }
 	$(GO) test -run 'TestScenarios(FramePoolEquivalence|PoisonedPool)' -count=1 ./internal/script/
 	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/core/ ./internal/pimdm/ ./internal/dvmrp/ ./internal/cbt/ ./internal/mospf/ ./internal/igmp/
 	$(GO) test -run 'TestFlatMapStoreLockstep' -count=1 ./internal/mfib/

@@ -16,8 +16,10 @@
 //   - a PIM dense-mode router (internal/pimdm) scoped to the dense-region
 //     interfaces.
 //
-// Dense-region routers flood member-existence advertisements (pimmsg
-// MemberAd, region-scoped). When the region first gains a member of a
+// The border's dense instance seeds region-scoped member-existence
+// advertisements (pimmsg MemberAd); every region router that hears one
+// starts advertising its own members (pimdm's demand-driven ads, so a
+// region without a border sends none). When the region first gains a member of a
 // group, the border router joins the group's sparse-mode shared tree with
 // the region-facing interface as a local branch; data then flows down the
 // sparse tree, across the border, and is distributed inside the region by

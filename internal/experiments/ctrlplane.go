@@ -15,11 +15,13 @@ import (
 // The control-plane churn benchmark isolates the paper's §2.3 steady state:
 // an internet where every tree is already built and the only traffic is
 // periodic soft-state refresh — PIM queries and join/prune refreshes, RP
-// beacons, DVMRP probes, CBT echoes, dense-mode member advertisements, IGMP
-// query/report cycles. This is the workload the zero-allocation send path
-// (packet.Scratch encoders + pooled netsim frames) targets: every refresh
-// message used to cost several heap objects per link crossing, and at 1000
-// routers the garbage collector became a visible fraction of wall time.
+// beacons, DVMRP probes, CBT echoes, IGMP query/report cycles. Dense-mode
+// member advertisements are not among them: only a border router seeds
+// them, and this benchmark deploys none. This is the workload the
+// zero-allocation send path (packet.Scratch encoders + pooled netsim
+// frames) targets: every refresh message used to cost several heap objects
+// per link crossing, and at 1000 routers the garbage collector became a
+// visible fraction of wall time.
 //
 // Each protocol runs twice in-process — once on the pooled frame path and
 // once on the allocating closure path (the differential oracle) — and the

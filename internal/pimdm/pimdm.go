@@ -41,8 +41,9 @@ type Config struct {
 	GraftRetry netsim.Time
 	// Scope restricts the router to a subset of its interfaces (nil = all).
 	// Border routers (internal/border) scope their dense-mode instance to
-	// the dense-region interfaces so floods and member advertisements stay
-	// inside the region (§4 interoperation).
+	// the dense-region interfaces so data floods, and the member
+	// advertisements the border seeds, stay inside the region (§4
+	// interoperation).
 	Scope func(*netsim.Iface) bool
 	// Telemetry, when non-nil, receives structured events for every state
 	// transition (see internal/telemetry).
@@ -99,15 +100,21 @@ type Router struct {
 	// scheduled in.
 	epoch uint64
 
-	// Member-existence advertisement state (§4 dense/sparse interop):
-	// every dense-region router floods the groups it has members for, so
-	// border routers can join sparse-mode trees on the region's behalf.
+	// Member-existence advertisement state (§4 dense/sparse interop): the
+	// groups a region router has members for reach the border routers, so
+	// they can join sparse-mode trees on the region's behalf. Advertising is
+	// demand-driven (see advertises): a border's dense instance always
+	// advertises, and a region router starts on the first advertisement it
+	// hears (adHeard), so a pure dense-mode deployment sends none.
 	adSeq     uint32
+	adHeard   bool
 	regionAds map[addr.IP]map[addr.IP]bool // origin -> groups
 	adSeqs    map[addr.IP]uint32
 	adSeen    map[addr.IP]netsim.Time // origin -> last advertisement
 	// OnRegionMembership fires when a group's region-wide member presence
-	// (local or advertised) toggles.
+	// (local or advertised) toggles. A router with it set is a border's
+	// dense instance, which advertises whether or not it has heard the
+	// region.
 	OnRegionMembership func(g addr.IP, present bool)
 	regionPresent      map[addr.IP]bool
 	// ExternalInterest, when set, reports that traffic from (s,g) is wanted
@@ -181,7 +188,8 @@ func (r *Router) Start() {
 
 // Stop detaches the router and discards all soft state: forwarding entries,
 // neighbor liveness, local membership, prune/assert/graft timers, and the
-// region membership-advertisement cache. The advertisement sequence number
+// region membership-advertisement cache. A region router falls silent until
+// it hears an advertisement again. The advertisement sequence number
 // survives — peers compare it with signed wraparound and would discard a
 // restarted router's advertisements if it restarted from zero.
 func (r *Router) Stop() {
@@ -208,6 +216,7 @@ func (r *Router) Stop() {
 	r.prunedUpstream = map[mfib.Key]bool{}
 	r.assertLoser = map[mfib.Key]map[int]bool{}
 	r.pendingGrafts = map[mfib.Key]*pendingGraft{}
+	r.adHeard = false
 	r.regionAds = map[addr.IP]map[addr.IP]bool{}
 	r.adSeqs = map[addr.IP]uint32{}
 	r.adSeen = map[addr.IP]netsim.Time{}
@@ -434,7 +443,17 @@ func (r *Router) localGroups() []addr.IP {
 	return out
 }
 
+// advertises reports whether this router originates member advertisements:
+// a border's dense instance always does, a region router once it has heard
+// one.
+func (r *Router) advertises() bool {
+	return r.adHeard || r.OnRegionMembership != nil
+}
+
 func (r *Router) originateMemberAd() {
+	if !r.advertises() {
+		return
+	}
 	r.adSeq++
 	r.adMsg = pimmsg.MemberAd{Origin: r.Node.Addr(), Seq: r.adSeq, Groups: r.localGroups()}
 	r.floodMemberAd(&r.adMsg, nil)
@@ -456,6 +475,13 @@ func (r *Router) handleMemberAd(in *netsim.Iface, body []byte) {
 	}
 	r.regionAds[ad.Origin] = groups
 	r.floodMemberAd(ad, in)
+	wasSilent := !r.advertises()
+	r.adHeard = true
+	if wasSilent {
+		// The region has an advertiser, so a border is listening: join in
+		// now rather than at the next query.
+		r.originateMemberAd()
+	}
 	r.recomputeRegionPresence()
 }
 
@@ -467,6 +493,7 @@ func (r *Router) floodMemberAd(ad *pimmsg.MemberAd, except *netsim.Iface) {
 			continue
 		}
 		r.Node.Send(ifc, r.enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
+		r.Metrics.Inc(metrics.CtrlMemberAd)
 	}
 }
 

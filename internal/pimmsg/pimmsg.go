@@ -344,9 +344,10 @@ func Open(b []byte) (msgType byte, body []byte, err error) {
 
 // TypeMemberAd is the dense-region member-existence advertisement used by
 // the §4 dense/sparse interoperation mechanism: routers inside a dense-mode
-// region flood the set of groups they have local members for, so border
-// routers learn "group member existence information" and can send explicit
-// joins into the sparse region on the region's behalf.
+// region that has a border router flood the set of groups they have local
+// members for, so the border routers learn "group member existence
+// information" and can send explicit joins into the sparse region on the
+// region's behalf.
 const TypeMemberAd = 8
 
 // MemberAd is the flooded member-existence advertisement.
@@ -380,21 +381,26 @@ func appendGroupList(b []byte, head, seq uint32, groups []addr.IP) []byte {
 
 // UnmarshalMemberAd decodes a message body.
 func UnmarshalMemberAd(b []byte) (*MemberAd, error) {
-	if len(b) < 10 {
-		return nil, ErrBadMessage
+	origin, seq, groups, err := decodeGroupList(b)
+	if err != nil {
+		return nil, err
 	}
-	m := &MemberAd{
-		Origin: addr.IP(binary.BigEndian.Uint32(b)),
-		Seq:    binary.BigEndian.Uint32(b[4:]),
+	return &MemberAd{Origin: addr.IP(origin), Seq: seq, Groups: groups}, nil
+}
+
+// decodeGroupList is appendGroupList's inverse.
+func decodeGroupList(b []byte) (head, seq uint32, groups []addr.IP, err error) {
+	if len(b) < 10 {
+		return 0, 0, nil, ErrBadMessage
 	}
 	n := int(binary.BigEndian.Uint16(b[8:]))
 	if len(b) < 10+4*n {
-		return nil, ErrBadMessage
+		return 0, 0, nil, ErrBadMessage
 	}
 	for i := 0; i < n; i++ {
-		m.Groups = append(m.Groups, addr.IP(binary.BigEndian.Uint32(b[10+4*i:])))
+		groups = append(groups, addr.IP(binary.BigEndian.Uint32(b[10+4*i:])))
 	}
-	return m, nil
+	return binary.BigEndian.Uint32(b), binary.BigEndian.Uint32(b[4:]), groups, nil
 }
 
 // TypeRPReport is the §4 dynamic RP discovery message ("the RP address can
@@ -420,19 +426,9 @@ func (m *RPReport) MarshalTo(b []byte) []byte {
 
 // UnmarshalRPReport decodes a message body.
 func UnmarshalRPReport(b []byte) (*RPReport, error) {
-	if len(b) < 10 {
-		return nil, ErrBadMessage
+	rp, seq, groups, err := decodeGroupList(b)
+	if err != nil {
+		return nil, err
 	}
-	m := &RPReport{
-		RP:  addr.IP(binary.BigEndian.Uint32(b)),
-		Seq: binary.BigEndian.Uint32(b[4:]),
-	}
-	n := int(binary.BigEndian.Uint16(b[8:]))
-	if len(b) < 10+4*n {
-		return nil, ErrBadMessage
-	}
-	for i := 0; i < n; i++ {
-		m.Groups = append(m.Groups, addr.IP(binary.BigEndian.Uint32(b[10+4*i:])))
-	}
-	return m, nil
+	return &RPReport{RP: addr.IP(rp), Seq: seq, Groups: groups}, nil
 }
