@@ -15,17 +15,17 @@
 //
 // Every ledgered benchmark shares two contracts the registry enforces:
 // entries are stamped with a LedgerHeader (host parallelism, shard count,
-// frame-pool setting, GC figures), and a benchmark whose differential gate
-// fails — fast path diverging from reference, sharded grid from sequential,
-// pooled frames from allocating, corpus replay regressing — records
-// nothing and exits non-zero.
+// GC figures), and a benchmark whose gate fails — sharded grid diverging
+// from sequential, an invariant violation in the recovery matrix, corpus
+// replay regressing — records nothing and exits non-zero.
 //
 // Run flags:
 //
 //	-smoke         CI-sized workload: every gate runs, no ledger is written
 //	-label s       entry label (e.g. seed, after-solver)
 //	-out file      ledger path override (default per benchmark)
-//	-shards n      simulation shard count (scaling/tenk add a sharded pass)
+//	-shards n      simulation shard count (recovery and telemetry run on it;
+//	               scaling/tenk add a sharded pass)
 //	-seed n        faultsearch: search seed
 //	-budget n      faultsearch: schedules to evaluate
 //	-workers n     faultsearch: evaluation workers (0 = all CPUs)
@@ -44,7 +44,6 @@ import (
 	"strings"
 
 	"pim/internal/bench"
-	"pim/internal/netsim"
 
 	// Benchmark registrations: each blank import wires its package's
 	// bench.Register calls into the registry.
@@ -101,8 +100,6 @@ func runCmd(args []string) {
 	case name == "" || fs.NArg() != 0:
 		usage()
 	}
-
-	netsim.SetShards(*shards)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -8,12 +8,12 @@
 //	pimscript scenarios/*.pim            run scripts
 //	pimscript -v scenarios/rendezvous.pim
 //	pimscript -update scenarios/*.pim    regenerate embedded goldens
+//	pimscript -update scenarios          ... of every scenario under a directory
 //	pimscript -corpus scenarios          discover + verify the whole corpus
 //
-// -corpus runs every *.pim below the directory (found/ included) through the
-// differential matrix — forwarding reference vs fast path, binary heap vs
-// timing wheel, shards 1 vs 2 — under the invariant checker, and verifies
-// each file's embedded `-- golden --` digest in every cell (DESIGN.md §15).
+// -corpus runs every *.pim below the directory (found/ included)
+// sequentially and on two shards under the invariant checker, and verifies
+// each file's embedded `-- golden --` digest in both cells (DESIGN.md §15).
 package main
 
 import (
@@ -29,7 +29,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print deployment logs and delivery counts")
 	check := flag.Bool("check", false, "attach the online invariant checker; violations fail the run, except for scripts that record their own verdict with `expect violations`")
 	update := flag.Bool("update", false, "run each script and rewrite its embedded `-- golden --` digest")
-	corpus := flag.String("corpus", "", "discover and verify every *.pim under this directory across the differential matrix")
+	corpus := flag.String("corpus", "", "discover and verify every *.pim under this directory, sequentially and on 2 shards")
 	flag.Parse()
 
 	if *corpus != "" {
@@ -49,7 +49,7 @@ func main() {
 	}
 	if *update {
 		failed := 0
-		for _, path := range flag.Args() {
+		for _, path := range updateTargets(flag.Args()) {
 			changed, err := script.Update(path)
 			switch {
 			case err != nil:
@@ -117,4 +117,22 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// updateTargets expands each directory argument to the scenarios under it
+// (script.Discover), so `-update scenarios` regenerates the whole corpus.
+// Other arguments pass through; a directory that cannot be walked is kept
+// as is, so Update reports the error against it.
+func updateTargets(args []string) []string {
+	var out []string
+	for _, a := range args {
+		if fi, err := os.Stat(a); err == nil && fi.IsDir() {
+			if paths, err := script.Discover(a); err == nil {
+				out = append(out, paths...)
+				continue
+			}
+		}
+		out = append(out, a)
+	}
+	return out
 }

@@ -7,7 +7,7 @@
 // The registry owns the two invariants every ledgered benchmark shares:
 //
 //   - the refuse-to-record gate: a Spec.Run that returns an error (its
-//     differential gate failed, its corpus replay regressed) records
+//     gate failed, its corpus replay regressed) records
 //     nothing — queued entries are dropped, the error propagates;
 //   - the ledger protocol: entries queued with Context.Append are flushed
 //     to a single JSON-array ledger file only after Run returns nil, each
@@ -25,8 +25,6 @@ import (
 	"runtime"
 	"sort"
 	"time"
-
-	"pim/internal/netsim"
 )
 
 // LedgerHeader is the host/run metadata stamped on every ledger entry of
@@ -46,8 +44,6 @@ type LedgerHeader struct {
 	Shards int `json:"shards"`
 	// Workers is the experiment worker-pool width (trial fan-out).
 	Workers int `json:"workers"`
-	// FramePool records whether the pooled netsim frame path was on.
-	FramePool bool `json:"frame_pool"`
 	// GC figures at stamp time (i.e. after the measured work): cumulative
 	// collection count, total stop-the-world pause, and live heap. They make
 	// every ledger's numbers interpretable as "how hard was the collector
@@ -57,7 +53,8 @@ type LedgerHeader struct {
 	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
 }
 
-// NewHeader stamps a ledger header for the current process configuration.
+// NewHeader stamps a ledger header for the current process configuration,
+// with a sequential shard count; Context.Header stamps the requested one.
 func NewHeader(label string) LedgerHeader {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -67,9 +64,8 @@ func NewHeader(label string) LedgerHeader {
 		GoVersion:      runtime.Version(),
 		NumCPU:         runtime.NumCPU(),
 		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		Shards:         netsim.Shards(),
+		Shards:         1,
 		Workers:        runtime.GOMAXPROCS(0),
-		FramePool:      netsim.UseFramePool(),
 		NumGC:          ms.NumGC,
 		GCPauseTotalNs: ms.PauseTotalNs,
 		HeapAllocBytes: ms.HeapAlloc,
@@ -111,9 +107,12 @@ func (c *Context) Printf(format string, a ...interface{}) {
 	}
 }
 
-// Header stamps a ledger header labelled Label+suffix.
+// Header stamps a ledger header labelled Label+suffix, carrying the
+// requested shard count.
 func (c *Context) Header(suffix string) LedgerHeader {
-	return NewHeader(c.Label + suffix)
+	h := NewHeader(c.Label + suffix)
+	h.Shards = max(c.Shards, 1)
+	return h
 }
 
 // Append queues one ledger entry. Entries are written only if the

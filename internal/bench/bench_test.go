@@ -27,7 +27,6 @@ func TestRegistryCoversEveryBenchmark(t *testing.T) {
 		"scaling":     "BENCH_scale.json",
 		"tenk":        "BENCH_scale.json",
 		"ctrlplane":   "BENCH_ctrlplane.json",
-		"stateplane":  "BENCH_stateplane.json",
 		"faultsearch": "BENCH_faultsearch.json",
 		"telemetry":   "", // report file, no ledger
 	}

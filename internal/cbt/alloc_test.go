@@ -12,9 +12,6 @@ import (
 // — echo request out, echo reply back, both over pooled frames — at zero
 // heap allocations (see the core engine's twin for the warm-up rationale).
 func TestEchoRefreshZeroAlloc(t *testing.T) {
-	prev := netsim.SetFramePool(true)
-	defer netsim.SetFramePool(prev)
-
 	net := netsim.NewNetwork()
 	na := net.AddNode("a")
 	nb := net.AddNode("b")

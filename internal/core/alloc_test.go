@@ -20,9 +20,6 @@ import (
 // has capacity. The measured window stays well inside one QueryInterval so
 // no periodic tick (whose re-arm legitimately allocates a timer) fires.
 func TestQueryRefreshZeroAlloc(t *testing.T) {
-	prev := netsim.SetFramePool(true)
-	defer netsim.SetFramePool(prev)
-
 	net := netsim.NewNetwork()
 	na := net.AddNode("a")
 	nb := net.AddNode("b")
@@ -63,9 +60,6 @@ func TestQueryRefreshZeroAlloc(t *testing.T) {
 // message and the grab/add batching paths are all exercised; nothing
 // triggers non-periodic sends mid-measure.
 func TestJoinPruneRefreshZeroAlloc(t *testing.T) {
-	prev := netsim.SetFramePool(true)
-	defer netsim.SetFramePool(prev)
-
 	net := netsim.NewNetwork()
 	na := net.AddNode("a")
 	nb := net.AddNode("b")

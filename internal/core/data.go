@@ -166,8 +166,8 @@ func (r *Router) forwardData(in *netsim.Iface, pkt *packet.Packet) {
 }
 
 // sharedOIFs is the (*,G) outgoing list minus effective negative-cache
-// prunes for s (§3.3 fn. 11). The computation lives in internal/mfib so
-// the compiled fast path and the reference path share one implementation.
+// prunes for s (§3.3 fn. 11), served from the compiled plans in
+// internal/mfib.
 func (r *Router) sharedOIFs(wc *mfib.Entry, s addr.IP, except *netsim.Iface) []*netsim.Iface {
 	return mfib.SharedForward(wc, r.MFIB.SGRpt(s, wc.Key.Group), r.now(), except)
 }

@@ -565,8 +565,8 @@ func (r *Router) pruneSPT(in *netsim.Iface, g, s addr.IP) {
 // scheduleOIFPrune applies a prune immediately on point-to-point links and
 // after the override window on LANs, unless a join cancels it first. The
 // deferred path must not capture the entry or oif pointers across the
-// delay: oif storage moves under structural list mutation and the flat
-// store recycles entry slots, so the closure re-looks the entry up by key,
+// delay: oif storage moves under structural list mutation and the entry may
+// be deleted and re-created meanwhile, so the closure re-looks it up by key,
 // checks Life() to reject a deleted-and-recreated incarnation, and tests
 // the prune-pending state on whatever oif the interface has now (a join in
 // the window clears PrunePending, which cancels the prune exactly as the

@@ -86,7 +86,7 @@ func (r *Router) originateRPReach() {
 func (r *Router) distributeRPReach(wc *mfib.Entry, m *pimmsg.RPReach, except *netsim.Iface) {
 	r.enc.Buf = pimmsg.AppendEnvelope(r.enc.Buf[:0], pimmsg.TypeRPReach)
 	r.enc.Buf = m.MarshalTo(r.enc.Buf)
-	for _, ifc := range wc.LiveOIFs(r.now(), except) {
+	for _, ifc := range wc.AppendLiveOIFs(nil, r.now(), except) {
 		r.Node.Send(ifc, r.enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
 		r.Metrics.Inc(metrics.CtrlRPReach)
 	}

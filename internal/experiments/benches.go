@@ -2,9 +2,9 @@
 // wired into the bench registry here, at init time. cmd/pimbench only
 // blank-imports the package — adding an experiment to the `pimbench run`
 // surface means one bench.Register call in this file, nothing else
-// (DESIGN.md §15). Each Run prints its measurements, enforces its
-// differential gate (errors refuse the record), and queues ledger entries
-// through the shared bench.Context.
+// (DESIGN.md §15). Each Run prints its measurements, enforces its gate
+// (errors refuse the record), and queues ledger entries through the shared
+// bench.Context.
 package experiments
 
 import (
@@ -27,7 +27,7 @@ func init() {
 		Run:     runFig2Bench,
 	})
 	bench.Register("dataplane", bench.Spec{
-		Summary: "forwarding fast path vs reference path on the N-hop chain",
+		Summary: "steady-state forwarding down the N-hop chain, three protocol phases",
 		Ledger:  "BENCH_dataplane.json",
 		Run:     runDataplaneBench,
 	})
@@ -37,7 +37,7 @@ func init() {
 		Run:     runRecoveryBench,
 	})
 	bench.Register("scaling", bench.Spec{
-		Summary: "large-internet scaling sweeps, heap vs wheel (plus shards with -shards N>1)",
+		Summary: "large-internet scaling sweeps (plus a sharded pass with -shards N>1)",
 		Ledger:  "BENCH_scale.json",
 		Run:     runScalingBench,
 	})
@@ -47,14 +47,9 @@ func init() {
 		Run:     runTenKBench,
 	})
 	bench.Register("ctrlplane", bench.Spec{
-		Summary: "steady-state control-plane churn, pooled vs allocating frame paths",
+		Summary: "steady-state control-plane churn on a 1000-router internet",
 		Ledger:  "BENCH_ctrlplane.json",
 		Run:     runCtrlPlaneBench,
-	})
-	bench.Register("stateplane", bench.Spec{
-		Summary: "MFIB state-plane footprint and refresh-walk cost, flat arena vs map store",
-		Ledger:  "BENCH_stateplane.json",
-		Run:     runStatePlaneBench,
 	})
 	bench.Register("telemetry", bench.Spec{
 		Summary: "PIM-SM crash-recovery telemetry curves (writes JSON report, no ledger)",
@@ -154,13 +149,10 @@ func runDataplaneBench(ctx *bench.Context) error {
 	}
 	res := RunDataplane(cfg)
 	for _, p := range res.Phases {
-		ctx.Printf("dataplane %-6s  ref %8.1f ms  fast %8.1f ms  speedup %5.2fx  identical=%v  delivered=%d crossings=%d",
-			p.Name, p.RefMs, p.FastMs, p.Speedup, p.Identical, p.Delivered, p.Crossings)
+		ctx.Printf("dataplane %-6s  %8.1f ms  delivered=%d crossings=%d",
+			p.Name, p.WallMs, p.Delivered, p.Crossings)
 	}
-	if !res.AllIdentical {
-		return fmt.Errorf("fast-path trace diverged from reference path — not recording")
-	}
-	ctx.Printf("dataplane overall speedup %.2fx", res.Speedup)
+	ctx.Printf("dataplane total %.1f ms", res.WallMs)
 	ctx.Append(DataplaneEntry{LedgerHeader: ctx.Header(""), Result: res})
 	return nil
 }
@@ -171,22 +163,28 @@ type RecoveryEntry struct {
 	Result RecoveryResult `json:"result"`
 }
 
+// runRecoveryBench runs the matrix under the online invariant checker and
+// refuses to record if any cell reports a violation.
 func runRecoveryBench(ctx *bench.Context) error {
 	cfg := DefaultRecovery()
 	if ctx.Smoke {
 		cfg = SmokeRecovery()
 	}
+	cfg.Checked = true
+	cfg.Shards = ctx.Shards
 	res := RunRecovery(cfg)
+	violations := 0
 	for _, c := range res.Cells {
 		rec := "   never"
 		if c.Recovered {
 			rec = fmt.Sprintf("%7.2fs", c.RecoverySec)
 		}
-		ctx.Printf("recovery %-13s %-7s %s  ctrl=%4d  residual=%3d  delivered=%4d  identical=%v",
-			c.Protocol, c.Fault, rec, c.CtrlMessages, c.ResidualState, c.Delivered, c.Identical)
+		ctx.Printf("recovery %-13s %-7s %s  ctrl=%4d  residual=%3d  delivered=%4d  violations=%d",
+			c.Protocol, c.Fault, rec, c.CtrlMessages, c.ResidualState, c.Delivered, len(c.Violations))
+		violations += len(c.Violations)
 	}
-	if !res.AllIdentical {
-		return fmt.Errorf("fast-path trace diverged from reference path — not recording")
+	if violations > 0 {
+		return fmt.Errorf("%d invariant violations in the matrix — not recording", violations)
 	}
 	ctx.Printf("recovery all recovered=%v", res.AllRecovered)
 	ctx.Append(RecoveryEntry{LedgerHeader: ctx.Header(""), Result: res})
@@ -199,25 +197,22 @@ type MicroBench struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// ScalingEntry is one appended record of the scaling ledger. A scaling run
-// appends two: one with UseWheel=false (the reference heap, the "seed"
-// side) and one with UseWheel=true (the timing wheel, the "after" side),
-// both over bit-identical simulated grids.
+// ScalingEntry is one appended record of the scaling ledger: the sequential
+// pass with the scheduler microbenchmarks, or a sharded pass gated against
+// it.
 type ScalingEntry struct {
 	bench.LedgerHeader
-	UseWheel bool               `json:"use_wheel"`
-	Result   ScalingBenchResult `json:"result"`
-	Churn    MicroBench         `json:"sched_churn"`
-	Dense    MicroBench         `json:"sched_dense"`
+	Result ScalingBenchResult `json:"result"`
+	Churn  MicroBench         `json:"sched_churn"`
+	Dense  MicroBench         `json:"sched_dense"`
 }
 
-// schedMicroBench replays one deterministic scheduler workload on one
-// backing store under testing.Benchmark and reports ns/op and allocs/op.
-// The parked-timer population is rebuilt outside the timed region on each
-// probe.
-func schedMicroBench(wheel bool, workload func(*netsim.Scheduler, int)) MicroBench {
+// schedMicroBench replays one deterministic scheduler workload under
+// testing.Benchmark and reports ns/op and allocs/op. The parked-timer
+// population is rebuilt outside the timed region on each probe.
+func schedMicroBench(workload func(*netsim.Scheduler, int)) MicroBench {
 	r := testing.Benchmark(func(b *testing.B) {
-		s := netsim.PrepSchedulerBench(wheel)
+		s := netsim.PrepSchedulerBench()
 		b.ReportAllocs()
 		b.ResetTimer()
 		workload(s, b.N)
@@ -228,25 +223,31 @@ func schedMicroBench(wheel bool, workload func(*netsim.Scheduler, int)) MicroBen
 	}
 }
 
-// scalingPass executes one scaling sweep pass on the given backing store
-// and shard count, printing one line per sweep.
-func scalingPass(ctx *bench.Context, cfg ScalingBenchConfig, wheel bool, shards int) ScalingBenchResult {
-	prevWheel := netsim.SetUseWheel(wheel)
-	prevShards := netsim.SetShards(shards)
-	defer func() {
-		netsim.SetUseWheel(prevWheel)
-		netsim.SetShards(prevShards)
-	}()
+// scalingPass executes one scaling sweep pass on the given shard count,
+// printing one line per sweep.
+func scalingPass(ctx *bench.Context, cfg ScalingBenchConfig, shards int) ScalingBenchResult {
+	cfg.Base.Shards = shards
 	res := RunScalingBench(cfg)
-	store := "heap "
-	if wheel {
-		store = "wheel"
-	}
 	for _, sw := range res.Sweeps {
-		ctx.Printf("scaling %-7s %s shards=%d  %2d cells  %9.1f ms  %9d events  %9.0f events/sec  peak timers %d",
-			sw.Name, store, shards, sw.Cells, sw.WallMs, sw.Events, sw.EventsPerSec, sw.PeakTimers)
+		ctx.Printf("scaling %-7s shards=%d  %2d cells  %9.1f ms  %9d events  %9.0f events/sec  peak timers %d",
+			sw.Name, shards, sw.Cells, sw.WallMs, sw.Events, sw.EventsPerSec, sw.PeakTimers)
 	}
 	return res
+}
+
+// shardedPass runs cfg on ctx.Shards shards and gates its grid against the
+// sequential pass seq; it returns nil when no sharded pass was requested.
+func shardedPass(ctx *bench.Context, cfg ScalingBenchConfig, seq ScalingBenchResult) (*ScalingBenchResult, error) {
+	if ctx.Shards <= 1 {
+		return nil, nil
+	}
+	res := scalingPass(ctx, cfg, ctx.Shards)
+	if !SameGridsSharded(seq, res) {
+		return nil, fmt.Errorf("shards=%d grid diverged from sequential — not recording", ctx.Shards)
+	}
+	ctx.Printf("sharded grid identical; wall %0.1f ms (shards=1) vs %0.1f ms (shards=%d), %.2fx",
+		seq.WallMs, res.WallMs, ctx.Shards, seq.WallMs/res.WallMs)
+	return &res, nil
 }
 
 func runScalingBench(ctx *bench.Context) error {
@@ -254,54 +255,28 @@ func runScalingBench(ctx *bench.Context) error {
 	if ctx.Smoke {
 		cfg = SmokeScalingBench()
 	}
-	heap := scalingPass(ctx, cfg, false, 1)
-	wheel := scalingPass(ctx, cfg, true, 1)
-	if !SameGrids(heap, wheel) {
-		return fmt.Errorf("heap and wheel scaling grids diverged — not recording")
-	}
-	ctx.Printf("scaling grids identical; wall %0.1f ms (heap) vs %0.1f ms (wheel), %.2fx",
-		heap.WallMs, wheel.WallMs, heap.WallMs/wheel.WallMs)
-	var sharded *ScalingBenchResult
-	if ctx.Shards > 1 {
-		res := scalingPass(ctx, cfg, true, ctx.Shards)
-		if !SameGridsSharded(wheel, res) {
-			return fmt.Errorf("shards=%d grid diverged from sequential — not recording", ctx.Shards)
-		}
-		ctx.Printf("sharded grid identical; wall %0.1f ms (shards=1) vs %0.1f ms (shards=%d), %.2fx",
-			wheel.WallMs, res.WallMs, ctx.Shards, wheel.WallMs/res.WallMs)
-		sharded = &res
+	seq := scalingPass(ctx, cfg, 1)
+	sharded, err := shardedPass(ctx, cfg, seq)
+	if err != nil {
+		return err
 	}
 	if ctx.Smoke {
 		ctx.Printf("smoke run: grid gate passed, nothing recorded")
 		return nil
 	}
-
-	type side struct {
-		wheel  bool
-		shards int
-		suffix string
-		res    ScalingBenchResult
+	h := ctx.Header("")
+	h.Shards = 1
+	e := ScalingEntry{
+		LedgerHeader: h,
+		Result:       seq,
+		Churn:        schedMicroBench(netsim.SchedulerChurn),
+		Dense:        schedMicroBench(netsim.SchedulerDense),
 	}
-	sides := []side{
-		{false, 1, "-heap", heap},
-		{true, 1, "-wheel", wheel},
-	}
+	ctx.Printf("sched micro  churn %8.1f ns/op (%d allocs/op)  dense %8.1f ns/op (%d allocs/op)",
+		e.Churn.NsPerOp, e.Churn.AllocsPerOp, e.Dense.NsPerOp, e.Dense.AllocsPerOp)
+	ctx.Append(e)
 	if sharded != nil {
-		sides = append(sides, side{true, ctx.Shards, fmt.Sprintf("-shards%d", ctx.Shards), *sharded})
-	}
-	for _, sd := range sides {
-		h := ctx.Header(sd.suffix)
-		h.Shards = sd.shards
-		e := ScalingEntry{
-			LedgerHeader: h,
-			UseWheel:     sd.wheel,
-			Result:       sd.res,
-			Churn:        schedMicroBench(sd.wheel, netsim.SchedulerChurn),
-			Dense:        schedMicroBench(sd.wheel, netsim.SchedulerDense),
-		}
-		ctx.Printf("sched micro %s  churn %8.1f ns/op (%d allocs/op)  dense %8.1f ns/op (%d allocs/op)",
-			sd.suffix[1:], e.Churn.NsPerOp, e.Churn.AllocsPerOp, e.Dense.NsPerOp, e.Dense.AllocsPerOp)
-		ctx.Append(e)
+		ctx.Append(ScalingEntry{LedgerHeader: ctx.Header(fmt.Sprintf("-shards%d", ctx.Shards)), Result: *sharded})
 	}
 	return nil
 }
@@ -313,27 +288,20 @@ func runTenKBench(ctx *bench.Context) error {
 		// sequential-vs-sharded gate on the CI-sized workload instead.
 		cfg = SmokeScalingBench()
 	}
-	seq := scalingPass(ctx, cfg, true, 1)
-	h := ctx.Header("-10k-seq")
-	h.Shards = 1
-	entries := []ScalingEntry{{LedgerHeader: h, UseWheel: true, Result: seq}}
-	if ctx.Shards > 1 {
-		res := scalingPass(ctx, cfg, true, ctx.Shards)
-		if !SameGridsSharded(seq, res) {
-			return fmt.Errorf("10k shards=%d grid diverged from sequential — not recording", ctx.Shards)
-		}
-		ctx.Printf("10k sharded grid identical; wall %0.1f ms (shards=1) vs %0.1f ms (shards=%d), %.2fx",
-			seq.WallMs, res.WallMs, ctx.Shards, seq.WallMs/res.WallMs)
-		hs := ctx.Header(fmt.Sprintf("-10k-shards%d", ctx.Shards))
-		hs.Shards = ctx.Shards
-		entries = append(entries, ScalingEntry{LedgerHeader: hs, UseWheel: true, Result: res})
+	seq := scalingPass(ctx, cfg, 1)
+	sharded, err := shardedPass(ctx, cfg, seq)
+	if err != nil {
+		return err
 	}
 	if ctx.Smoke {
 		ctx.Printf("smoke run: grid gate passed, nothing recorded")
 		return nil
 	}
-	for _, e := range entries {
-		ctx.Append(e)
+	h := ctx.Header("-10k-seq")
+	h.Shards = 1
+	ctx.Append(ScalingEntry{LedgerHeader: h, Result: seq})
+	if sharded != nil {
+		ctx.Append(ScalingEntry{LedgerHeader: ctx.Header(fmt.Sprintf("-10k-shards%d", ctx.Shards)), Result: *sharded})
 	}
 	return nil
 }
@@ -350,66 +318,16 @@ func runCtrlPlaneBench(ctx *bench.Context) error {
 		cfg = SmokeCtrlPlane()
 	}
 	res := RunCtrlPlane(cfg)
-	for _, p := range res.Pairs {
-		for _, c := range []CtrlPlaneCell{p.Alloc, p.Pooled} {
-			path := "alloc "
-			if c.Pooled {
-				path = "pooled"
-			}
-			ctx.Printf("ctrlplane %-13s %s  %8d msgs  %9.1f ms  %9.0f msgs/sec  %6.2f allocs/msg  gc=%d pause %6.2f ms  heap %6.1f MB",
-				p.Protocol, path, c.CtrlMessages, c.WallMs, c.MsgsPerSec,
-				c.AllocsPerMsg, c.GCCycles, c.GCPauseMs, c.HeapMB)
-		}
-		ctx.Printf("ctrlplane %-13s speedup %.2fx  identical=%v", p.Protocol, p.Speedup, p.Identical)
-	}
-	if !res.AllIdentical {
-		return fmt.Errorf("pooled run diverged from allocating run — not recording")
+	for _, c := range res.Cells {
+		ctx.Printf("ctrlplane %-13s %8d msgs  %9.1f ms  %9.0f msgs/sec  %6.2f allocs/msg  gc=%d pause %6.2f ms  heap %6.1f MB",
+			c.Protocol, c.CtrlMessages, c.WallMs, c.MsgsPerSec,
+			c.AllocsPerMsg, c.GCCycles, c.GCPauseMs, c.HeapMB)
 	}
 	if ctx.Smoke {
-		ctx.Printf("smoke run: pooled/allocating gate passed, nothing recorded")
+		ctx.Printf("smoke run: nothing recorded")
 		return nil
 	}
 	ctx.Append(CtrlPlaneEntry{LedgerHeader: ctx.Header(""), Result: res})
-	return nil
-}
-
-// StatePlaneEntry is one appended record of the state-plane ledger.
-type StatePlaneEntry struct {
-	bench.LedgerHeader
-	Result StatePlaneResult `json:"result"`
-}
-
-func runStatePlaneBench(ctx *bench.Context) error {
-	cfg := DefaultStatePlane()
-	if ctx.Smoke {
-		cfg = SmokeStatePlane()
-	}
-	res := RunStatePlane(cfg)
-	for _, p := range res.Pairs {
-		for _, c := range []StatePlaneCell{p.MapStore, p.FlatStore} {
-			store := "map "
-			if c.Flat {
-				store = "flat"
-			}
-			ctx.Printf("stateplane %-13s %s  state=%5d  %6.1f B/entry  %9.1f ms  gc=%d pause %6.2f ms  heap %6.1f MB  delivered=%d",
-				p.Protocol, store, c.State, c.BytesPerEntry, c.WallMs,
-				c.GCCycles, c.GCPauseMs, c.HeapMB, c.Delivered)
-		}
-		ctx.Printf("stateplane %-13s bytes ratio %.2fx  speedup %.2fx  identical=%v",
-			p.Protocol, p.BytesRatio, p.Speedup, p.Identical)
-	}
-	ctx.Printf("stateplane walk map  %6.1f ns/entry (%d allocs/sweep over %d entries)",
-		res.WalkMap.NsPerEntry, res.WalkMap.AllocsPerSweep, res.WalkMap.Entries)
-	ctx.Printf("stateplane walk flat %6.1f ns/entry (%d allocs/sweep over %d entries)",
-		res.WalkFlat.NsPerEntry, res.WalkFlat.AllocsPerSweep, res.WalkFlat.Entries)
-	if !res.AllIdentical {
-		return fmt.Errorf("flat-store run diverged from map-store run — not recording")
-	}
-	if ctx.Smoke {
-		ctx.Printf("smoke run: flat/map gate passed, nothing recorded")
-		return nil
-	}
-	ctx.Append(StatePlaneEntry{LedgerHeader: ctx.Header(""), Result: res})
 	return nil
 }
 
@@ -422,6 +340,7 @@ func runTelemetryBench(ctx *bench.Context) error {
 	if ctx.Smoke {
 		cfg = SmokeRecovery()
 	}
+	cfg.Shards = ctx.Shards
 	smp := RecoveryTelemetry(cfg, PIMSM, FaultCrash, 5*netsim.Second)
 	if ctx.Smoke {
 		if err := smp.WriteJSON(io.Discard); err != nil {

@@ -19,16 +19,13 @@ import (
 // member advertisements are not among them: only a border router seeds
 // them, and this benchmark deploys none. This is the workload the
 // zero-allocation send path (packet.Scratch encoders + pooled netsim
-// frames) targets: every refresh message used to cost several heap objects
-// per link crossing, and at 1000 routers the garbage collector became a
-// visible fraction of wall time.
+// frames) targets: with a few heap objects per refresh message and link
+// crossing, at 1000 routers the garbage collector becomes a visible
+// fraction of wall time.
 //
-// Each protocol runs twice in-process — once on the pooled frame path and
-// once on the allocating closure path (the differential oracle) — and the
-// ledger refuses to record unless the two runs' simulated observables
-// (forwarding state, control-message counts, scheduler events) are
-// bit-identical. The host-side numbers (wall time, mallocs/msg, GC cycles
-// and pause) are then attributable purely to the allocation discipline.
+// Each protocol runs once in-process and reports its simulated observables
+// (forwarding state, control-message counts, scheduler events) next to the
+// host-side cost (wall time, mallocs/msg, GC cycles and pause).
 
 // CtrlPlaneConfig parameterizes the steady-state churn benchmark.
 type CtrlPlaneConfig struct {
@@ -55,9 +52,8 @@ func DefaultCtrlPlane() CtrlPlaneConfig {
 	}
 }
 
-// SmokeCtrlPlane is the CI-sized workload for make ctrl-smoke: a small
-// internet, three protocols, same code paths and the same pooled/allocating
-// equivalence gate; nothing is recorded.
+// SmokeCtrlPlane is the CI-sized workload: a small internet, three
+// protocols, same code paths; nothing is recorded.
 func SmokeCtrlPlane() CtrlPlaneConfig {
 	return CtrlPlaneConfig{
 		Nodes: 40, Degree: 4, Groups: 3, Members: 3, Seed: 42,
@@ -66,13 +62,11 @@ func SmokeCtrlPlane() CtrlPlaneConfig {
 	}
 }
 
-// CtrlPlaneCell is one (protocol, frame-path) measurement.
+// CtrlPlaneCell is one protocol's measurement.
 type CtrlPlaneCell struct {
 	Protocol Protocol `json:"protocol"`
-	Pooled   bool     `json:"pooled"`
 
-	// Simulated observables — must be bit-identical between the pooled and
-	// allocating runs of the same protocol (the ledger gate).
+	// Simulated observables, deterministic for a given config.
 	CtrlMessages int64 `json:"ctrl_messages"`
 	State        int   `json:"state"`
 	Events       int64 `json:"events"`
@@ -91,58 +85,28 @@ type CtrlPlaneCell struct {
 	HeapMB    float64 `json:"heap_mb"`
 }
 
-// CtrlPlanePair is one protocol's before/after: the allocating oracle run
-// and the pooled run over the identical simulation.
-type CtrlPlanePair struct {
-	Protocol  Protocol      `json:"protocol"`
-	Alloc     CtrlPlaneCell `json:"alloc"`
-	Pooled    CtrlPlaneCell `json:"pooled"`
-	Identical bool          `json:"identical"`
-	// Speedup is alloc wall time over pooled wall time for the measured
-	// phase (>1 means pooling won).
-	Speedup float64 `json:"speedup"`
-}
-
-// CtrlPlaneResult aggregates the per-protocol pairs.
+// CtrlPlaneResult aggregates the per-protocol cells.
 type CtrlPlaneResult struct {
-	Pairs        []CtrlPlanePair `json:"pairs"`
-	AllIdentical bool            `json:"all_identical"`
-	WallMs       float64         `json:"wall_ms"`
+	Cells  []CtrlPlaneCell `json:"cells"`
+	WallMs float64         `json:"wall_ms"`
 }
 
-// RunCtrlPlane runs every configured protocol on both frame paths and
-// returns the paired measurements. Cells run sequentially in-process so the
-// runtime.MemStats deltas attribute cleanly to one simulation at a time.
+// RunCtrlPlane runs every configured protocol once. Cells run sequentially
+// in-process so the runtime.MemStats deltas attribute cleanly to one
+// simulation at a time.
 func RunCtrlPlane(cfg CtrlPlaneConfig) CtrlPlaneResult {
-	res := CtrlPlaneResult{AllIdentical: true}
+	var res CtrlPlaneResult
 	t0 := time.Now()
 	for _, proto := range cfg.Protos {
-		alloc := runCtrlPlaneCell(cfg, proto, false)
-		pooled := runCtrlPlaneCell(cfg, proto, true)
-		pair := CtrlPlanePair{
-			Protocol: proto, Alloc: alloc, Pooled: pooled,
-			Identical: alloc.CtrlMessages == pooled.CtrlMessages &&
-				alloc.State == pooled.State &&
-				alloc.Events == pooled.Events,
-		}
-		if pooled.WallMs > 0 {
-			pair.Speedup = alloc.WallMs / pooled.WallMs
-		}
-		if !pair.Identical {
-			res.AllIdentical = false
-		}
-		res.Pairs = append(res.Pairs, pair)
+		res.Cells = append(res.Cells, runCtrlPlaneCell(cfg, proto))
 	}
 	res.WallMs = float64(time.Since(t0).Microseconds()) / 1000
 	return res
 }
 
 // runCtrlPlaneCell builds one internet, joins the members, lets the trees
-// form, then measures a pure-refresh window under the requested frame path.
-func runCtrlPlaneCell(cfg CtrlPlaneConfig, proto Protocol, pooled bool) CtrlPlaneCell {
-	prev := netsim.SetFramePool(pooled)
-	defer netsim.SetFramePool(prev)
-
+// form, then measures a pure-refresh window.
+func runCtrlPlaneCell(cfg CtrlPlaneConfig, proto Protocol) CtrlPlaneCell {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := topology.Random(topology.GenConfig{Nodes: cfg.Nodes, Degree: cfg.Degree}, rng)
 	groups := make([]addr.IP, cfg.Groups)
@@ -198,7 +162,6 @@ func runCtrlPlaneCell(cfg CtrlPlaneConfig, proto Protocol, pooled bool) CtrlPlan
 
 	cell := CtrlPlaneCell{
 		Protocol:     proto,
-		Pooled:       pooled,
 		CtrlMessages: sim.Net.Stats.Totals.ControlPackets,
 		State:        state(),
 		Events:       sim.Net.EventsProcessed() - eventsBase,

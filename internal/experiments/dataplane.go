@@ -5,11 +5,9 @@ import (
 
 	"pim/internal/addr"
 	"pim/internal/core"
-	"pim/internal/fastpath"
 	"pim/internal/igmp"
 	"pim/internal/metrics"
 	"pim/internal/netsim"
-	"pim/internal/packet"
 	"pim/internal/pimdm"
 	"pim/internal/scenario"
 	"pim/internal/topology"
@@ -17,12 +15,9 @@ import (
 )
 
 // The data-plane benchmark drives steady-state forwarding down an N-hop
-// chain — the workload where the per-packet path (LPM for RPF checks,
-// outgoing-interface list construction) dominates — once over the reference
-// path and once over the fast path (trie LPM + generation-stamped RPF cache
-// + compiled MFIB fan-out; see internal/fastpath). Both runs use identical
-// seeds and schedules, so their packet delivery traces must be bit
-// identical; cmd/pimbench refuses to record a ledger entry otherwise.
+// chain — the workload where the per-packet path (trie LPM behind the
+// generation-stamped RPF cache for RPF checks, compiled MFIB fan-out for
+// outgoing-interface lists) dominates — and times the measured window.
 //
 // Three phases cover the distinct per-packet code paths:
 //
@@ -36,8 +31,7 @@ import (
 // DataplaneConfig parameterizes the N-hop forwarding benchmark.
 type DataplaneConfig struct {
 	// Hops is the chain length (routers). The source hangs off the
-	// highest-index router so reference-path linear scans traverse a
-	// realistic share of the table.
+	// highest-index router, so packets traverse the whole chain.
 	Hops int
 	// Packets sent in the measured phase, PacketGap apart.
 	Packets   int
@@ -48,7 +42,7 @@ type DataplaneConfig struct {
 	// /24s, modelling the backbone-scale tables the paper's wide-area
 	// setting implies. They sit below the scenario address plan so per-packet
 	// RPF lookups must consider them; the multicast traffic never targets
-	// them, so forwarding behaviour is unchanged on either path.
+	// them, so forwarding behaviour is unchanged.
 	FillerRoutes int
 }
 
@@ -63,8 +57,8 @@ func DefaultDataplane() DataplaneConfig {
 }
 
 // SmokeDataplane returns the CI-sized workload: a short chain and a few
-// hundred packets — enough to exercise every phase and the ref/fast
-// trace-equivalence gate without the ledger run's wall-clock cost.
+// hundred packets — enough to exercise every phase without the ledger
+// run's wall-clock cost.
 func SmokeDataplane() DataplaneConfig {
 	return DataplaneConfig{
 		Hops: 16, Packets: 200, PacketGap: 10 * netsim.Millisecond,
@@ -72,118 +66,53 @@ func SmokeDataplane() DataplaneConfig {
 	}
 }
 
-// DeliveryEvent is one packet arrival at a member host — the unit of the
-// trace-equivalence gate. Sent carries the origination timestamp stamped
-// into the payload, so the tuple pins source, path delay, and ordering.
-type DeliveryEvent struct {
-	At   netsim.Time
-	Host int
-	Src  addr.IP
-	Sent netsim.Time
-}
-
-// DataplaneRun is one phase executed on one path.
-type DataplaneRun struct {
-	WallMs    float64
-	Delivered int
-	// DataCrossings counts data-packet link crossings (per-hop forwarding
-	// work actually performed).
-	DataCrossings int64
-	// Forwarded sums the routers' data.forwarded counters over the measured
-	// window — the router-side view of the same work, reset per pass so it
-	// spans exactly what DataCrossings spans.
-	Forwarded int64
-	Trace     []DeliveryEvent
-}
-
-// DataplanePhase compares the two paths on one protocol phase.
+// DataplanePhase is one protocol phase's measured window.
 type DataplanePhase struct {
 	Name      string  `json:"name"`
-	RefMs     float64 `json:"ref_ms"`
-	FastMs    float64 `json:"fast_ms"`
-	Speedup   float64 `json:"speedup"`
-	Identical bool    `json:"traces_identical"`
+	WallMs    float64 `json:"wall_ms"`
 	Delivered int     `json:"delivered"`
-	Crossings int64   `json:"data_crossings"`
-	Forwarded int64   `json:"data_forwarded"`
+	// Crossings counts data-packet link crossings (per-hop forwarding work
+	// actually performed).
+	Crossings int64 `json:"data_crossings"`
+	// Forwarded sums the routers' data.forwarded counters over the measured
+	// window — the router-side view of the same work, reset per pass so it
+	// spans exactly what Crossings spans.
+	Forwarded int64 `json:"data_forwarded"`
 }
 
-// DataplaneResult is the full benchmark outcome. Speedup is the headline:
-// total reference wall time over total fast-path wall time across all
-// phases. The per-phase numbers decompose it — the RPF-per-hop dense phase
-// shows the full trie+cache win, while the PIM-SM phases bound it, since
-// established shared/shortest-path trees forward from precomputed state by
-// design (§3.5) and only the fan-out compilation is left to save.
+// DataplaneResult is the full benchmark outcome. The per-phase numbers
+// decompose the total: the RPF-per-hop dense phase leans on the trie and
+// the RPF cache, while established shared/shortest-path trees forward from
+// precomputed state by design (§3.5) and mostly exercise the compiled
+// fan-out.
 type DataplaneResult struct {
 	Hops    int              `json:"hops"`
 	Packets int              `json:"packets"`
 	Fillers int              `json:"filler_routes"`
 	Phases  []DataplanePhase `json:"phases"`
-	// AllIdentical gates ledger recording in cmd/pimbench.
-	AllIdentical bool `json:"all_identical"`
-	// Speedup is total reference wall time / total fast wall time.
-	Speedup float64 `json:"speedup"`
+	// WallMs is the total measured wall time across all phases.
+	WallMs float64 `json:"wall_ms"`
 }
 
 // dataplanePhases names the benchmark phases in execution order.
 var dataplanePhases = []string{"shared", "spt", "dense"}
 
-// RunDataplane executes every phase on both paths and restores the
-// fast-path switch to its prior setting.
+// RunDataplane executes every phase once.
 func RunDataplane(cfg DataplaneConfig) DataplaneResult {
-	prev := fastpath.Set(true)
-	defer fastpath.Set(prev)
-	res := DataplaneResult{
-		Hops: cfg.Hops, Packets: cfg.Packets, Fillers: cfg.FillerRoutes,
-		AllIdentical: true,
-	}
-	var refTotal, fastTotal float64
+	res := DataplaneResult{Hops: cfg.Hops, Packets: cfg.Packets, Fillers: cfg.FillerRoutes}
 	for _, name := range dataplanePhases {
-		fastpath.Set(false)
-		ref := runDataplaneOnce(cfg, name)
-		fastpath.Set(true)
-		fast := runDataplaneOnce(cfg, name)
-		p := DataplanePhase{
-			Name:    name,
-			RefMs:   ref.WallMs,
-			FastMs:  fast.WallMs,
-			Speedup: ref.WallMs / fast.WallMs,
-			Identical: tracesEqual(ref.Trace, fast.Trace) && ref.Delivered == fast.Delivered &&
-				ref.DataCrossings == fast.DataCrossings && ref.Forwarded == fast.Forwarded,
-			Delivered: fast.Delivered,
-			Crossings: fast.DataCrossings,
-			Forwarded: fast.Forwarded,
-		}
+		p := runDataplaneOnce(cfg, name)
 		res.Phases = append(res.Phases, p)
-		if !p.Identical {
-			res.AllIdentical = false
-		}
-		refTotal += ref.WallMs
-		fastTotal += fast.WallMs
-	}
-	if fastTotal > 0 {
-		res.Speedup = refTotal / fastTotal
+		res.WallMs += p.WallMs
 	}
 	return res
-}
-
-func tracesEqual(a, b []DeliveryEvent) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // runDataplaneOnce builds a fresh chain simulation, establishes the phase's
 // distribution tree, then times the measured send window. Setup and warmup
 // are excluded from the wall clock: the benchmark isolates steady-state
 // per-packet cost.
-func runDataplaneOnce(cfg DataplaneConfig, phase string) DataplaneRun {
+func runDataplaneOnce(cfg DataplaneConfig, phase string) DataplanePhase {
 	h := cfg.Hops
 	g := topology.New(h)
 	for i := 0; i < h-1; i++ {
@@ -237,23 +166,12 @@ func runDataplaneOnce(cfg DataplaneConfig, phase string) DataplaneRun {
 	}
 	sim.Run(10 * netsim.Second)
 
-	run := DataplaneRun{}
+	run := DataplanePhase{Name: phase}
 	// Baseline the per-host counters so Delivered covers only the measured
 	// window, not the priming packets.
 	primed := make([]int, len(receivers))
 	for hi, r := range receivers {
-		hi, r := hi, r
 		primed[hi] = r.Received[group]
-		r.OnData = func(grp addr.IP, pkt *packet.Packet) {
-			if grp != group {
-				return
-			}
-			ev := DeliveryEvent{At: sim.Net.Sched.Now(), Host: hi, Src: pkt.Src}
-			if lat, ok := scenario.Latency(ev.At, pkt); ok {
-				ev.Sent = ev.At - lat
-			}
-			run.Trace = append(run.Trace, ev)
-		}
 	}
 	// Reset both halves of the overhead ledger together: link stats and the
 	// routers' counters must cover exactly the measured window, or the
@@ -273,9 +191,8 @@ func runDataplaneOnce(cfg DataplaneConfig, phase string) DataplaneRun {
 
 	for hi, r := range receivers {
 		run.Delivered += r.Received[group] - primed[hi]
-		r.OnData = nil
 	}
-	run.DataCrossings = sim.Net.Stats.Totals.DataPackets
+	run.Crossings = sim.Net.Stats.Totals.DataPackets
 	for _, c := range routerCounters {
 		run.Forwarded += c.Get(metrics.DataForwarded)
 	}

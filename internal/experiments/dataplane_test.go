@@ -3,11 +3,10 @@ package experiments
 import (
 	"testing"
 
-	"pim/internal/fastpath"
 	"pim/internal/netsim"
 )
 
-// smallDataplane keeps the differential gate fast enough for go test.
+// smallDataplane keeps the workload fast enough for go test.
 func smallDataplane() DataplaneConfig {
 	return DataplaneConfig{
 		Hops: 16, Packets: 120, PacketGap: 10 * netsim.Millisecond,
@@ -15,55 +14,27 @@ func smallDataplane() DataplaneConfig {
 	}
 }
 
-// TestDataplaneTracesIdentical is the benchmark's correctness gate: the
-// compiled fast path must deliver exactly the packets, in exactly the order
-// and at exactly the times, that the reference path does — for every phase.
-func TestDataplaneTracesIdentical(t *testing.T) {
-	res := RunDataplane(smallDataplane())
-	if len(res.Phases) != len(dataplanePhases) {
-		t.Fatalf("got %d phases, want %d", len(res.Phases), len(dataplanePhases))
-	}
-	for _, p := range res.Phases {
-		if !p.Identical {
-			t.Errorf("phase %s: fast-path trace diverged from reference", p.Name)
-		}
-		if p.Delivered == 0 {
-			t.Errorf("phase %s: no packets delivered", p.Name)
-		}
-		if p.Crossings == 0 {
-			t.Errorf("phase %s: no data-plane forwarding recorded", p.Name)
-		}
-	}
-	if !res.AllIdentical {
-		t.Error("AllIdentical = false")
-	}
-	if !fastpath.Enabled() {
-		t.Error("RunDataplane did not restore the fast-path switch")
-	}
-}
-
 // Phase benchmarks for bench-smoke and profiling: one full simulation run
-// per iteration, on the chosen path.
-func benchmarkDataplanePhase(b *testing.B, phase string, fast bool) {
+// per iteration.
+func benchmarkDataplanePhase(b *testing.B, phase string) {
 	cfg := DefaultDataplane()
-	prev := fastpath.Set(fast)
-	defer fastpath.Set(prev)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		runDataplaneOnce(cfg, phase)
 	}
 }
 
-func BenchmarkDataplaneSharedFast(b *testing.B) { benchmarkDataplanePhase(b, "shared", true) }
-func BenchmarkDataplaneSharedRef(b *testing.B)  { benchmarkDataplanePhase(b, "shared", false) }
-func BenchmarkDataplaneDenseFast(b *testing.B)  { benchmarkDataplanePhase(b, "dense", true) }
-func BenchmarkDataplaneDenseRef(b *testing.B)   { benchmarkDataplanePhase(b, "dense", false) }
+func BenchmarkDataplaneShared(b *testing.B) { benchmarkDataplanePhase(b, "shared") }
+func BenchmarkDataplaneDense(b *testing.B)  { benchmarkDataplanePhase(b, "dense") }
 
 // TestDataplaneDeliversToBothReceivers pins the workload shape: two member
 // LANs, every measured packet reaching both.
 func TestDataplaneDeliversToBothReceivers(t *testing.T) {
 	cfg := smallDataplane()
 	res := RunDataplane(cfg)
+	if len(res.Phases) != len(dataplanePhases) {
+		t.Fatalf("got %d phases, want %d", len(res.Phases), len(dataplanePhases))
+	}
 	for _, p := range res.Phases {
 		if p.Delivered != 2*cfg.Packets {
 			t.Errorf("phase %s: delivered %d, want %d", p.Name, p.Delivered, 2*cfg.Packets)

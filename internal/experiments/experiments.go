@@ -108,6 +108,10 @@ type SparseConfig struct {
 	// Each run is an isolated simulation self-seeded from Seed, so results
 	// are identical for every value.
 	Workers int
+	// Shards is the partition count each simulation executes under (0 or
+	// 1 = sequential). Results are identical for every value except
+	// Result.PeakTimers, which a sharded run sums over its shards.
+	Shards int
 }
 
 // DefaultSparse returns a laptop-scale default comparable to the paper's
@@ -172,10 +176,10 @@ func runSparseImpl(g *topology.Graph, cfg SparseConfig, proto Protocol, rng *ran
 		}
 	}
 	// Shard the simulation when a multi-shard run was requested
-	// (netsim.SetShards). MOSPF stays sequential: its routers flood through
-	// a shared in-memory Domain that cannot be split across shards.
+	// (cfg.Shards). MOSPF stays sequential: its routers flood through a
+	// shared in-memory Domain that cannot be split across shards.
 	if proto != MOSPF {
-		sim.AutoShard()
+		sim.AutoShardN(cfg.Shards)
 	}
 	sim.FinishUnicast(scenario.UseOracle)
 

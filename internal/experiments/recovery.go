@@ -8,7 +8,6 @@ import (
 	"pim/internal/cbt"
 	"pim/internal/core"
 	"pim/internal/dvmrp"
-	"pim/internal/fastpath"
 	"pim/internal/faults"
 	"pim/internal/igmp"
 	"pim/internal/netsim"
@@ -39,12 +38,11 @@ import (
 //   - tree quiet time: how long the multicast forwarding state had been
 //     mutation-free when the run ended (the probe's stabilization signal).
 //
-// Every cell runs twice, once on the reference forwarding path and once on
-// the fast path, with identical seeds; the delivery traces must match
-// bit-for-bit or cmd/pimbench refuses to record the run. Fault injection is
-// deterministic (internal/faults), so the matrix is also reproducible across
-// any Workers setting and any shard count. With Checked set, every cell additionally runs under
-// the online §3.8 invariant checker and surfaces any violations.
+// Fault injection is deterministic (internal/faults), so the matrix is
+// reproducible across any Workers setting and any shard count. With Checked
+// set, every cell additionally runs under the online §3.8 invariant checker
+// and surfaces any violations; the pimbench recording runs checked and
+// refuses to record a matrix with any.
 
 // Recovery fault kinds.
 const (
@@ -84,6 +82,9 @@ type RecoveryConfig struct {
 	// Checked attaches the online invariant checker to every cell; any
 	// §3.8 contract violation surfaces on the cell.
 	Checked bool
+	// Shards is the partition count each cell executes under (0 or 1 =
+	// sequential); results are identical for every value.
+	Shards int
 }
 
 // DefaultRecovery returns the ledger workload.
@@ -133,9 +134,6 @@ type RecoveryCell struct {
 	// mutation (entry create/expire, iif change) when the run ended — the
 	// convergence probe's tree-stabilization measure.
 	TreeQuietSec float64 `json:"tree_quiet_sec"`
-	// Identical gates the ledger: reference and fast-path delivery traces
-	// must match exactly.
-	Identical bool `json:"traces_identical"`
 	// Violations lists online invariant-checker findings (Checked runs
 	// only; empty means the cell upheld every §3.8 contract).
 	Violations []string `json:"violations,omitempty"`
@@ -144,13 +142,21 @@ type RecoveryCell struct {
 // RecoveryResult is the full matrix.
 type RecoveryResult struct {
 	Cells []RecoveryCell `json:"cells"`
-	// AllIdentical gates ledger recording in cmd/pimbench.
-	AllIdentical bool `json:"all_identical"`
 	// AllRecovered reports whether every cell saw delivery resume.
 	AllRecovered bool `json:"all_recovered"`
 }
 
-// recoveryRun is one cell executed on one forwarding path.
+// DeliveryEvent is one packet arrival at a member site. Sent carries the
+// origination timestamp stamped into the payload, so the tuple pins source,
+// path delay, and ordering.
+type DeliveryEvent struct {
+	At   netsim.Time
+	Host int
+	Src  addr.IP
+	Sent netsim.Time
+}
+
+// recoveryRun is one executed cell.
 type recoveryRun struct {
 	trace      []DeliveryEvent
 	recovery   netsim.Time // -1 when delivery never resumed
@@ -161,58 +167,32 @@ type recoveryRun struct {
 	violations []string
 }
 
-// RunRecovery executes the full protocol × fault matrix, each cell on both
-// forwarding paths, and restores the fast-path switch to its prior setting.
-//
-// The fast-path switch is process-global, so the matrix runs as two
-// sequential sweeps — every cell on the reference path, then every cell on
-// the fast path — with the switch toggled only between sweeps. Within a
-// sweep the cells are isolated simulations and fan across cfg.Workers.
+// RunRecovery executes the full protocol × fault matrix. The cells are
+// isolated simulations and fan across cfg.Workers.
 func RunRecovery(cfg RecoveryConfig) RecoveryResult {
 	protos := RecoveryProtocols()
 	kinds := RecoveryFaults()
 	n := len(protos) * len(kinds)
-	res := RecoveryResult{
-		Cells:        make([]RecoveryCell, n),
-		AllIdentical: true,
-		AllRecovered: true,
-	}
-	sweep := func(fast bool) []recoveryRun {
-		prev := fastpath.Set(fast)
-		defer fastpath.Set(prev)
-		runs := make([]recoveryRun, n)
-		parallel.For(n, cfg.Workers, func(i int) {
-			runs[i] = runRecoveryOnce(cfg, protos[i/len(kinds)], kinds[i%len(kinds)],
-				parallel.DeriveSeed(cfg.Seed, int64(i)), nil)
-		})
-		return runs
-	}
-	refs := sweep(false)
-	fasts := sweep(true)
-	for i := range res.Cells {
-		ref, fast := refs[i], fasts[i]
+	res := RecoveryResult{Cells: make([]RecoveryCell, n), AllRecovered: true}
+	parallel.For(n, cfg.Workers, func(i int) {
+		run := runRecoveryOnce(cfg, protos[i/len(kinds)], kinds[i%len(kinds)],
+			parallel.DeriveSeed(cfg.Seed, int64(i)), nil)
 		c := RecoveryCell{
 			Protocol:      protos[i/len(kinds)],
 			Fault:         kinds[i%len(kinds)],
-			Recovered:     fast.recovery >= 0,
-			CtrlMessages:  fast.ctrl,
-			ResidualState: fast.residual,
-			Delivered:     fast.delivered,
-			TreeQuietSec:  float64(fast.treeQuiet) / float64(netsim.Second),
-			Identical: tracesEqual(ref.trace, fast.trace) &&
-				ref.recovery == fast.recovery && ref.residual == fast.residual,
-			Violations: fast.violations,
-		}
-		for _, v := range ref.violations {
-			c.Violations = append(c.Violations, "ref-path: "+v)
+			Recovered:     run.recovery >= 0,
+			CtrlMessages:  run.ctrl,
+			ResidualState: run.residual,
+			Delivered:     run.delivered,
+			TreeQuietSec:  float64(run.treeQuiet) / float64(netsim.Second),
+			Violations:    run.violations,
 		}
 		if c.Recovered {
-			c.RecoverySec = float64(fast.recovery) / float64(netsim.Second)
+			c.RecoverySec = float64(run.recovery) / float64(netsim.Second)
 		}
 		res.Cells[i] = c
-		if !c.Identical {
-			res.AllIdentical = false
-		}
+	})
+	for _, c := range res.Cells {
 		if !c.Recovered {
 			res.AllRecovered = false
 		}
@@ -281,7 +261,7 @@ func deployRecovery(sim *scenario.Sim, proto Protocol, group addr.IP, anchor int
 }
 
 // runRecoveryOnce builds the diamond, deploys the protocol, injects the
-// fault, and extracts the cell metrics on one forwarding path.
+// fault, and extracts the cell metrics.
 //
 // Topology (edge weights in delay units):
 //
@@ -296,9 +276,9 @@ func deployRecovery(sim *scenario.Sim, proto Protocol, group addr.IP, anchor int
 // crosses the faulted transit.
 // recoverySim builds the diamond with the three hosts attached and the
 // oracle unicast substrate finished. Unless the protocol pins itself to the
-// sequential path (MOSPF's shared Domain), the sim is partitioned across the
-// process-global shard count before any event is scheduled.
-func recoverySim(proto Protocol) (sim *scenario.Sim, src, recvA, recvB *igmp.Host) {
+// sequential path (MOSPF's shared Domain), the sim is partitioned into
+// shards before any event is scheduled.
+func recoverySim(proto Protocol, shards int) (sim *scenario.Sim, src, recvA, recvB *igmp.Host) {
 	g := topology.New(5)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
@@ -307,7 +287,7 @@ func recoverySim(proto Protocol) (sim *scenario.Sim, src, recvA, recvB *igmp.Hos
 	g.AddEdge(4, 3, 2)
 	sim = scenario.Build(g)
 	if proto != MOSPF {
-		sim.AutoShard()
+		sim.AutoShardN(shards)
 	}
 	src = sim.AddHost(0)
 	recvA = sim.AddHost(recvARouter)
@@ -318,10 +298,9 @@ func recoverySim(proto Protocol) (sim *scenario.Sim, src, recvA, recvB *igmp.Hos
 
 // RecoveryTelemetry runs one recovery cell with a time-series sampler on the
 // deployment's event lanes and returns the sampler for dumping — the
-// per-router counter curves cmd/pimbench writes with -telemetry. The cell
-// runs on whichever forwarding path and shard count are currently enabled,
-// seeded exactly like the matrix's first cell; sharded cells additionally
-// carry the per-shard execution counters in the dump.
+// per-router counter curves the telemetry benchmark writes. The cell runs
+// under cfg.Shards, seeded exactly like the matrix's first cell; sharded
+// cells additionally carry the per-shard execution counters in the dump.
 func RecoveryTelemetry(cfg RecoveryConfig, proto Protocol, kind string, interval netsim.Time) *telemetry.Sampler {
 	var smp *telemetry.Sampler
 	runRecoveryOnce(cfg, proto, kind, parallel.DeriveSeed(cfg.Seed, 0),
@@ -345,7 +324,7 @@ func RecoveryTelemetry(cfg RecoveryConfig, proto Protocol, kind string, interval
 // runRecoveryOnce executes one cell; tap, when non-nil, may subscribe extra
 // consumers to the cell's event lanes before the protocol deploys.
 func runRecoveryOnce(cfg RecoveryConfig, proto Protocol, kind string, seed int64, tap func(*scenario.Sim, []*telemetry.Bus)) recoveryRun {
-	sim, src, recvA, recvB := recoverySim(proto)
+	sim, src, recvA, recvB := recoverySim(proto, cfg.Shards)
 	group := addr.GroupForIndex(0)
 
 	// Every cell runs with event lanes attached — one bus per shard, so

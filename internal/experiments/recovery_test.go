@@ -6,7 +6,6 @@ import (
 
 	"pim/internal/addr"
 	"pim/internal/netsim"
-	"pim/internal/parallel"
 	"pim/internal/scenario"
 )
 
@@ -19,9 +18,8 @@ func shortRecovery() RecoveryConfig {
 }
 
 // TestRecoveryMatrix runs the full fault matrix and checks the acceptance
-// properties: traces identical on both forwarding paths in every cell, and
-// the soft-state protocols (PIM-SM, PIM-DM) converging under 20%
-// control-plane loss.
+// property: every protocol's late join converging through control-plane
+// loss, up to 20%.
 func TestRecoveryMatrix(t *testing.T) {
 	cfg := shortRecovery()
 	if testing.Short() {
@@ -32,11 +30,8 @@ func TestRecoveryMatrix(t *testing.T) {
 		t.Fatalf("matrix has %d cells", len(res.Cells))
 	}
 	for _, c := range res.Cells {
-		t.Logf("%-8s %-7s recovered=%-5v t=%6.2fs ctrl=%4d residual=%3d delivered=%d identical=%v",
-			c.Protocol, c.Fault, c.Recovered, c.RecoverySec, c.CtrlMessages, c.ResidualState, c.Delivered, c.Identical)
-		if !c.Identical {
-			t.Errorf("%s/%s: reference and fast-path runs diverged", c.Protocol, c.Fault)
-		}
+		t.Logf("%-8s %-7s recovered=%-5v t=%6.2fs ctrl=%4d residual=%3d delivered=%d",
+			c.Protocol, c.Fault, c.Recovered, c.RecoverySec, c.CtrlMessages, c.ResidualState, c.Delivered)
 		// The loss cells answer the paper's §2 robustness claim directly:
 		// periodic refresh (plus the acked graft/join handshakes) must
 		// converge the late join through 20% control loss.
@@ -49,8 +44,7 @@ func TestRecoveryMatrix(t *testing.T) {
 // TestRecoveryMatrixChecked reruns the matrix with the online invariant
 // checker attached to every cell: lost control messages, link flaps, and
 // crash/restart cycles must not produce a dead-epoch timer fire, an
-// RPF-inconsistent iif, a negative-cache leak, or a dirty restart — on
-// either forwarding path.
+// RPF-inconsistent iif, a negative-cache leak, or a dirty restart.
 func TestRecoveryMatrixChecked(t *testing.T) {
 	cfg := shortRecovery()
 	cfg.Checked = true
@@ -121,7 +115,7 @@ func TestCrashRestartPerEngine(t *testing.T) {
 	for _, proto := range RecoveryProtocols() {
 		proto := proto
 		t.Run(string(proto), func(t *testing.T) {
-			sim, src, recvA, recvB := recoverySim(proto)
+			sim, src, recvA, recvB := recoverySim(proto, 1)
 			group := addr.GroupForIndex(0)
 			dep := deployRecovery(sim, proto, group, 3)
 			state, neighbors := engineProbes(dep)
@@ -166,45 +160,6 @@ func TestCrashRestartPerEngine(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRecoveryMatrixWheelEquivalence is the fault-injection half of the
-// scheduler-swap acceptance: every cell of the 25-cell protocol × fault
-// matrix — crash/restart epochs, link flaps, Bernoulli control loss — must
-// produce a bit-identical delivery trace and identical recovery metrics on
-// the binary heap and on the timing wheel. Faults exercise the scheduler
-// paths ordinary runs don't (mass cancellation at crash, timer re-arming
-// storms after restart), so same-deadline ordering bugs surface here first.
-func TestRecoveryMatrixWheelEquivalence(t *testing.T) {
-	cfg := shortRecovery()
-	protos, kinds := RecoveryProtocols(), RecoveryFaults()
-	n := len(protos) * len(kinds)
-	sweep := func(wheel bool) []recoveryRun {
-		prev := netsim.SetUseWheel(wheel)
-		defer netsim.SetUseWheel(prev)
-		runs := make([]recoveryRun, n)
-		parallel.For(n, cfg.Workers, func(i int) {
-			runs[i] = runRecoveryOnce(cfg, protos[i/len(kinds)], kinds[i%len(kinds)],
-				parallel.DeriveSeed(cfg.Seed, int64(i)), nil)
-		})
-		return runs
-	}
-	heap := sweep(false)
-	wheel := sweep(true)
-	for i := range heap {
-		h, w := heap[i], wheel[i]
-		proto, kind := protos[i/len(kinds)], kinds[i%len(kinds)]
-		if !tracesEqual(h.trace, w.trace) {
-			t.Errorf("%s/%s: delivery traces diverged between heap and wheel (%d vs %d events)",
-				proto, kind, len(h.trace), len(w.trace))
-		}
-		if h.recovery != w.recovery || h.residual != w.residual ||
-			h.delivered != w.delivered || h.ctrl != w.ctrl || h.treeQuiet != w.treeQuiet {
-			t.Errorf("%s/%s: metrics diverged: heap={rec:%v res:%d del:%d ctrl:%d quiet:%v} wheel={rec:%v res:%d del:%d ctrl:%d quiet:%v}",
-				proto, kind, h.recovery, h.residual, h.delivered, h.ctrl, h.treeQuiet,
-				w.recovery, w.residual, w.delivered, w.ctrl, w.treeQuiet)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"testing"
 
 	"pim/internal/netsim"
@@ -47,37 +46,6 @@ func TestSenderScalingPerRouterState(t *testing.T) {
 					r.Protocol, pt.X, r.Events, r.PeakTimers)
 			}
 		}
-	}
-}
-
-// TestScalingBenchGridsMatchAcrossSchedulers is the experiment-level half of
-// the scheduler-swap acceptance: the smoke sweep grid — state, control, data,
-// delivery, event, and peak-timer columns in every cell — must be
-// bit-identical whether the simulations run on the binary heap or on the
-// timing wheel.
-func TestScalingBenchGridsMatchAcrossSchedulers(t *testing.T) {
-	cfg := SmokeScalingBench()
-	cfg.Base.Nodes = 20
-	cfg.Base.Duration = 40 * netsim.Second
-	cfg.Sizes = []int{15, 25}
-
-	prev := netsim.SetUseWheel(false)
-	heap := RunScalingBench(cfg)
-	netsim.SetUseWheel(true)
-	wheel := RunScalingBench(cfg)
-	netsim.SetUseWheel(prev)
-
-	if !SameGrids(heap, wheel) {
-		for i := range heap.Sweeps {
-			if !reflect.DeepEqual(heap.Sweeps[i].Grid, wheel.Sweeps[i].Grid) {
-				t.Errorf("sweep %q diverged:\nheap  = %+v\nwheel = %+v",
-					heap.Sweeps[i].Name, heap.Sweeps[i].Grid, wheel.Sweeps[i].Grid)
-			}
-		}
-		t.Fatal("heap and wheel scaling grids diverged")
-	}
-	if heap.Events == 0 || heap.PeakTimers == 0 {
-		t.Fatalf("degenerate bench run: %+v", heap)
 	}
 }
 

@@ -8,14 +8,6 @@ import (
 	"pim/internal/parallel"
 )
 
-// withShards runs fn with the global shard count set to n, restoring the
-// previous count afterwards (mirrors the UseWheel/fastpath toggle tests).
-func withShards(n int, fn func()) {
-	prev := netsim.SetShards(n)
-	defer netsim.SetShards(prev)
-	fn()
-}
-
 // The tentpole's hard gate at the experiments level: a sharded run must
 // produce the same overhead ledger as the sequential differential oracle —
 // every field except PeakTimers, which sharded runs report as the sum of
@@ -27,14 +19,14 @@ func TestShardedSparseMatchesSequential(t *testing.T) {
 		PacketInterval: 5 * netsim.Second, PruneLifetime: 30 * netsim.Second,
 	}
 	for _, proto := range []Protocol{PIMSM, PIMSMShared, CBT, DVMRP, PIMDM} {
-		var base Result
-		withShards(1, func() { base = RunSparse(cfg, proto) })
+		base := RunSparse(cfg, proto)
 		if base.Delivered == 0 {
 			t.Fatalf("%s: sequential oracle delivered nothing", proto)
 		}
 		for _, n := range []int{2, 4} {
-			var got Result
-			withShards(n, func() { got = RunSparse(cfg, proto) })
+			shd := cfg
+			shd.Shards = n
+			got := RunSparse(shd, proto)
 			mask := func(r Result) Result { r.PeakTimers = 0; return r }
 			if mask(got) != mask(base) {
 				t.Errorf("%s shards=%d diverges from sequential:\n  seq: %+v\n  shd: %+v",
@@ -62,11 +54,11 @@ func TestShardedRecoveryMatrixMatchesSequential(t *testing.T) {
 	for pi, proto := range RecoveryProtocols() {
 		for ki, kind := range kinds {
 			seed := parallel.DeriveSeed(cfg.Seed, int64(pi*len(kinds)+ki))
-			var base recoveryRun
-			withShards(1, func() { base = runRecoveryOnce(cfg, proto, kind, seed, nil) })
+			base := runRecoveryOnce(cfg, proto, kind, seed, nil)
 			for _, n := range []int{2, 4} {
-				var got recoveryRun
-				withShards(n, func() { got = runRecoveryOnce(cfg, proto, kind, seed, nil) })
+				shd := cfg
+				shd.Shards = n
+				got := runRecoveryOnce(shd, proto, kind, seed, nil)
 				if !reflect.DeepEqual(got, base) {
 					t.Errorf("%s/%s shards=%d diverges from sequential:\n  seq: %+v\n  shd: %+v",
 						proto, kind, n, base, got)
@@ -77,16 +69,16 @@ func TestShardedRecoveryMatrixMatchesSequential(t *testing.T) {
 }
 
 // MOSPF cannot shard (shared link-state Domain); RunSparse must fall back
-// to the sequential path even when shards are requested globally.
+// to the sequential path even when shards are requested.
 func TestShardedMOSPFFallsBack(t *testing.T) {
 	cfg := SparseConfig{
 		Nodes: 15, Degree: 3, Groups: 2, Members: 2, Senders: 1,
 		Seed: 7, Warmup: 5 * netsim.Second, Duration: 20 * netsim.Second,
 		PacketInterval: 5 * netsim.Second, PruneLifetime: 30 * netsim.Second,
 	}
-	var base, got Result
-	withShards(1, func() { base = RunSparse(cfg, MOSPF) })
-	withShards(4, func() { got = RunSparse(cfg, MOSPF) })
+	base := RunSparse(cfg, MOSPF)
+	cfg.Shards = 4
+	got := RunSparse(cfg, MOSPF)
 	if got != base {
 		t.Fatalf("MOSPF run changed under shard request:\n  seq: %+v\n  shd: %+v", base, got)
 	}

@@ -103,19 +103,13 @@ type Entry struct {
 	oifSpill  []OIF
 
 	// life identifies this incarnation of the (table, key) pair: the table
-	// assigns a fresh monotone value on every creation, in both stores, so
-	// timer closures can detect delete/re-create across their delay by
-	// comparing Life() (pointer identity is not enough once the flat store
-	// recycles slots).
+	// assigns a fresh monotone value on every creation, so timer closures
+	// can detect delete/re-create across their delay by comparing Life().
 	life uint64
-	// dead marks a freed flat-store slot awaiting recycling.
-	dead bool
 	// gen is the entry's mutation generation; plans compiled against this
 	// entry (plan.go) revalidate with one compare. Every method mutating
 	// forwarding-relevant state bumps it; code mutating OIF fields or IIF
-	// directly must call Touch. Slot recycling continues the sequence
-	// (never resets it) so a stale plan dependency can never revalidate
-	// against a later incarnation.
+	// directly must call Touch.
 	gen uint64
 	// plans holds the compiled fan-out slices derived from this entry.
 	plans []plan
@@ -278,8 +272,8 @@ func (o *OIF) Live(now netsim.Time) bool {
 
 // AppendLiveOIFs appends the interfaces to forward over — excluding the
 // given arrival interface, in ascending index order — to dst and returns it.
-// The allocation-free form of LiveOIFs for compiled-plan rebuilds and other
-// hot walks.
+// Compiled-plan rebuilds append into a reused slice, so a warm recompile
+// allocates nothing.
 func (e *Entry) AppendLiveOIFs(dst []*netsim.Iface, now netsim.Time, except *netsim.Iface) []*netsim.Iface {
 	for i := 0; i < int(e.noif); i++ {
 		o := e.oifAt(i)
@@ -292,12 +286,6 @@ func (e *Entry) AppendLiveOIFs(dst []*netsim.Iface, now netsim.Time, except *net
 		dst = append(dst, o.Iface)
 	}
 	return dst
-}
-
-// LiveOIFs returns the interfaces to forward over, excluding the given
-// arrival interface, sorted by index for determinism.
-func (e *Entry) LiveOIFs(now netsim.Time, except *netsim.Iface) []*netsim.Iface {
-	return e.AppendLiveOIFs(nil, now, except)
 }
 
 // OIFEmpty reports whether no live outgoing interface remains.

@@ -54,6 +54,14 @@ func TestUpsertIdempotent(t *testing.T) {
 	if e1.Created != 5 {
 		t.Error("Created clobbered")
 	}
+	// A deleted and re-created key is a new incarnation: timer closures
+	// holding the old Life() must not match it.
+	tb.Delete(k)
+	e3, c3 := tb.Upsert(k, 12)
+	if !c3 || e3.Life() == e1.Life() || e3.Created != 12 || e3.OIFCount() != 0 {
+		t.Errorf("re-created entry: created=%v life %d (old %d) Created=%d oifs=%d",
+			c3, e3.Life(), e1.Life(), e3.Created, e3.OIFCount())
+	}
 }
 
 func TestOIFLifetimes(t *testing.T) {

@@ -1,34 +1,27 @@
 package mfib
 
-import (
-	"pim/internal/fastpath"
-	"pim/internal/netsim"
-)
+import "pim/internal/netsim"
 
 // This file compiles §3.5 forwarding decisions into flat fan-out slices.
 //
-// The reference data plane recomputes the outgoing-interface list per
-// packet: walk the oif list, test per-oif timers, subtract the (S,G)RP-bit
-// negative cache — all allocating a fresh slice. In steady state nothing in
-// that computation changes between packets, so the fast path caches the
-// result as a plan: the compiled slice plus everything needed to prove it
-// is still current. A plan is valid while
+// Computed from scratch, the outgoing-interface list of a packet means a
+// walk of the oif list, a test of per-oif timers and a subtraction of the
+// (S,G)RP-bit negative cache. In steady state nothing in that computation
+// changes between packets, so the data plane caches the result as a plan:
+// the compiled slice plus everything needed to prove it is still current.
+// A plan is valid while
 //
 //   - each dependency entry is the same object at the same generation
 //     (every OIF/IIF mutation bumps the owning entry's generation via
-//     Touch; entry replacement changes the pointer in the map store and
-//     continues the slot's generation past any pinned value in the flat
-//     store), and
+//     Touch; a deleted and re-created key is a new object), and
 //   - simulated time has not passed validUntil, the earliest future oif
 //     expiry among the dependencies (timer-driven liveness changes are the
 //     one way a list changes with no mutation).
 //
-// Compilation appends through the same append-style functions the
-// reference path wraps, so the two paths are structurally identical — same
-// interfaces, same order — which is what the differential tests and the
-// pimbench trace-equivalence gate verify end to end. The append forms also
-// make a steady-state recompile allocation-free once the plan's slice has
-// grown to its working capacity.
+// Compilation appends through the append-style functions below, which the
+// differential test in plan_test.go holds to a from-scratch computation of
+// the same lists. The append forms make a steady-state recompile
+// allocation-free once the plan's slice has grown to its working capacity.
 
 // Plan kinds: a plain entry list (§3.6 oif timers folded in), the shared
 // tree minus the negative cache (§3.3 fn. 11), and the SPT∪shared union
@@ -131,13 +124,9 @@ func (e *Entry) lookupPlan(kind int8, except *netsim.Iface, d0, d1, d2 *Entry, n
 	return p.out
 }
 
-// ForwardOIFs is the fast-path equivalent of LiveOIFs: the entry's live
-// outgoing interfaces excluding the arrival interface, served from a
-// compiled plan when valid.
+// ForwardOIFs returns the entry's live outgoing interfaces excluding the
+// arrival interface, served from a compiled plan when valid.
 func (e *Entry) ForwardOIFs(now netsim.Time, except *netsim.Iface) []*netsim.Iface {
-	if !fastpath.Enabled() {
-		return e.LiveOIFs(now, except)
-	}
 	return e.lookupPlan(planSelf, except, e, nil, nil, now)
 }
 
@@ -146,9 +135,6 @@ func (e *Entry) ForwardOIFs(now netsim.Time, except *netsim.Iface) []*netsim.Ifa
 // source. rpt may be nil. The plan lives on the rpt entry when one exists
 // (its lifetime bounds the subtraction's) and on wc otherwise.
 func SharedForward(wc, rpt *Entry, now netsim.Time, except *netsim.Iface) []*netsim.Iface {
-	if !fastpath.Enabled() {
-		return sharedList(wc, rpt, now, except)
-	}
 	host := wc
 	if rpt != nil {
 		host = rpt
@@ -161,9 +147,6 @@ func SharedForward(wc, rpt *Entry, now netsim.Time, except *netsim.Iface) []*net
 // (§3.3's copy-at-creation, done race-free at forwarding time — DESIGN.md
 // §4). wc and rpt may be nil.
 func UnionForward(sg, wc, rpt *Entry, now netsim.Time, except *netsim.Iface) []*netsim.Iface {
-	if !fastpath.Enabled() {
-		return unionList(sg, wc, rpt, now, except)
-	}
 	return sg.lookupPlan(planUnion, except, sg, wc, rpt, now)
 }
 
@@ -225,15 +208,4 @@ func appendUnion(dst []*netsim.Iface, sg, wc, rpt *Entry, now netsim.Time, excep
 		}
 	}
 	return dst
-}
-
-// sharedList is the reference shared-tree computation; the compiled path
-// appends through the same code.
-func sharedList(wc, rpt *Entry, now netsim.Time, except *netsim.Iface) []*netsim.Iface {
-	return appendShared(nil, wc, rpt, now, except)
-}
-
-// unionList is the reference SPT∪shared computation.
-func unionList(sg, wc, rpt *Entry, now netsim.Time, except *netsim.Iface) []*netsim.Iface {
-	return appendUnion(nil, sg, wc, rpt, now, except)
 }

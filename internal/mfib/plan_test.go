@@ -9,9 +9,28 @@ import (
 	"pim/internal/netsim"
 )
 
+// LiveOIFs, sharedList and unionList compute the fan-outs from scratch on
+// every call: the oracle the compiled plans are held to.
+
+// LiveOIFs returns the interfaces to forward over, excluding the given
+// arrival interface, sorted by index.
+func (e *Entry) LiveOIFs(now netsim.Time, except *netsim.Iface) []*netsim.Iface {
+	return e.AppendLiveOIFs(nil, now, except)
+}
+
+// sharedList is the from-scratch shared-tree computation.
+func sharedList(wc, rpt *Entry, now netsim.Time, except *netsim.Iface) []*netsim.Iface {
+	return appendShared(nil, wc, rpt, now, except)
+}
+
+// unionList is the from-scratch SPT∪shared computation.
+func unionList(sg, wc, rpt *Entry, now netsim.Time, except *netsim.Iface) []*netsim.Iface {
+	return appendUnion(nil, sg, wc, rpt, now, except)
+}
+
 // TestPlansMatchReferenceLists is the MFIB differential test: under random
 // interleavings of OIF mutations, in-place field flips (with Touch), and
-// time advances, the compiled fast-path fan-outs must equal the reference
+// time advances, the compiled fan-outs must equal the from-scratch
 // computations exactly — same interfaces, same order.
 func TestPlansMatchReferenceLists(t *testing.T) {
 	ifs := testIfaces(6)

@@ -3,184 +3,22 @@ package mfib
 import (
 	"cmp"
 	"slices"
-	"sync/atomic"
 	"unsafe"
 
 	"pim/internal/addr"
 	"pim/internal/netsim"
 )
 
-// This file holds the two entry stores behind Table (DESIGN.md §16).
+// This file holds the entry store behind Table (DESIGN.md §16): a
+// map[Key]*Entry of heap entries. Lookups are one map probe; the
+// deterministic walks snapshot the selected keys and sort them in the
+// canonical (Group, Source, RPBit) order.
 //
-// The flat store (default) keeps entries by value in append-only arena
-// slabs ([]Entry, never reallocated, so &slab[i] is stable for the table's
-// lifetime) addressed by 32-bit handles, with an open-addressed (linear
-// probe + backward-shift delete) index from Key to handle and a sorted key
-// slice driving the deterministic walks. The GC sees a few dozen slabs per
-// router instead of one object per entry plus one per oif.
-//
-// The map store is the differential oracle: the straightforward
-// map[Key]*Entry of heap entries the repo grew up with, kept bit-identical
-// in every observable (same walk order, same walk-mutation semantics, same
-// Sweep results) and exercised by the corpus matrix's map-store cell and a
-// randomized lockstep test. The fastpath/wheel/pool toggles set the
-// precedent; SetFlatStore follows it.
-//
-// Slot recycling contract: Delete marks the slot dead but leaves the fields
-// in place, so entries returned by Sweep stay readable until the next
-// insertion into the table. Recycling bumps the slot's plan generation
-// (never resets it) and the table stamps a fresh Life() on every creation
-// in both stores, so stale plan dependencies and timer closures can never
-// revalidate against a later incarnation of the same key or slot.
-
-var flatStore atomic.Bool
-
-func init() { flatStore.Store(true) }
-
-// SetFlatStore switches newly created tables between the flat arena store
-// and the reference map store, returning the previous setting. Tables
-// already built keep their store; the engines rebuild their tables on
-// Stop/Start.
-func SetFlatStore(on bool) (prev bool) { return flatStore.Swap(on) }
-
-// FlatStoreEnabled reports the current default store.
-func FlatStoreEnabled() bool { return flatStore.Load() }
-
-// Handle addresses an entry in the flat store: slot+1, so the zero Handle
-// means "none".
-type Handle uint32
-
-const (
-	// 8 entries per slab: small enough that a lightly loaded router (a
-	// handful of entries) doesn't pay for a mostly empty arena, large
-	// enough that the arena stays a handful of objects at full load.
-	// Slabs are never reallocated, so &slab[i] is stable for an entry's
-	// whole slot lifetime.
-	slabShift = 3
-	slabSize  = 1 << slabShift
-	slabMask  = slabSize - 1
-)
-
-// rhIndex is the open-addressed Key → slot index: linear probing with
-// backward-shift deletion (the robin-hood deletion rule), power-of-two
-// capacity, grown at 80% load. Values are slot+1 with 0 meaning empty.
-// The index stores no key copies — a probed slot's key is read from its
-// arena cell — so each index slot costs 4 bytes. The probe loops live on
-// Table (indexGet/indexPut/indexDel) because they need the slabs.
-type rhIndex struct {
-	vals []uint32
-	mask uint32
-	n    int
-}
-
-func hashKey(k Key) uint32 {
-	x := uint64(k.Source)<<32 | uint64(k.Group)
-	if k.RPBit {
-		x ^= 0x9e3779b97f4a7c15
-	}
-	// splitmix64 finalizer
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return uint32(x)
-}
-
-// slotKey reads a slot's key straight from its arena cell; every slot the
-// index holds is live (Delete removes the index mapping before marking the
-// slot dead), so the key field is always current.
-func (t *Table) slotKey(slot int) Key { return t.entryAt(slot).Key }
-
-func (t *Table) indexGet(k Key) (int, bool) {
-	ix := &t.index
-	if ix.n == 0 {
-		return 0, false
-	}
-	i := hashKey(k) & ix.mask
-	for {
-		v := ix.vals[i]
-		if v == 0 {
-			return 0, false
-		}
-		if t.slotKey(int(v-1)) == k {
-			return int(v - 1), true
-		}
-		i = (i + 1) & ix.mask
-	}
-}
-
-// indexPut inserts k → slot; the caller guarantees k is absent and has
-// already stamped k into the slot's arena cell.
-func (t *Table) indexPut(k Key, slot int) {
-	ix := &t.index
-	if len(ix.vals) == 0 {
-		t.indexGrow(16)
-	} else if (ix.n+1)*5 > len(ix.vals)*4 {
-		t.indexGrow(len(ix.vals) * 2)
-	}
-	i := hashKey(k) & ix.mask
-	for ix.vals[i] != 0 {
-		i = (i + 1) & ix.mask
-	}
-	ix.vals[i] = uint32(slot + 1)
-	ix.n++
-}
-
-func (t *Table) indexGrow(capacity int) {
-	ix := &t.index
-	oldVals := ix.vals
-	ix.vals = make([]uint32, capacity)
-	ix.mask = uint32(capacity - 1)
-	for _, v := range oldVals {
-		if v == 0 {
-			continue
-		}
-		j := hashKey(t.slotKey(int(v-1))) & ix.mask
-		for ix.vals[j] != 0 {
-			j = (j + 1) & ix.mask
-		}
-		ix.vals[j] = v
-	}
-}
-
-// indexDel removes k, backward-shifting the probe chain so no tombstones
-// are needed: each following element whose ideal position lies at or before
-// the hole moves into it.
-func (t *Table) indexDel(k Key) bool {
-	ix := &t.index
-	if ix.n == 0 {
-		return false
-	}
-	i := hashKey(k) & ix.mask
-	for {
-		v := ix.vals[i]
-		if v == 0 {
-			return false
-		}
-		if t.slotKey(int(v-1)) == k {
-			break
-		}
-		i = (i + 1) & ix.mask
-	}
-	ix.n--
-	j := i
-	for {
-		ix.vals[i] = 0
-		for {
-			j = (j + 1) & ix.mask
-			if ix.vals[j] == 0 {
-				return true
-			}
-			ideal := hashKey(t.slotKey(int(ix.vals[j]-1))) & ix.mask
-			if ((j - ideal) & ix.mask) >= ((j - i) & ix.mask) {
-				break
-			}
-		}
-		ix.vals[i] = ix.vals[j]
-		i = j
-	}
-}
+// Deleted entries are never reused: Delete drops the map slot, so entries
+// returned by Sweep stay readable for as long as the caller holds them, and
+// a re-created key gets a fresh object. The table still stamps a fresh
+// Life() on every creation, so timer closures can detect delete/re-create
+// across their delay by comparing incarnations rather than pointers.
 
 // compareKeys is the canonical walk order: (Group, Source, RPBit).
 func compareKeys(a, b Key) int {
@@ -193,24 +31,12 @@ func compareKeys(a, b Key) int {
 	return boolToInt(a.RPBit) - boolToInt(b.RPBit)
 }
 
-// Table stores a router's multicast forwarding entries in one of the two
-// stores; the API is identical either way.
+// Table stores a router's multicast forwarding entries.
 type Table struct {
-	flat bool
-
-	// map store
 	m map[Key]*Entry
 
-	// flat store
-	slabs [][]Entry
-	used  int      // slots ever allocated
-	free  []Handle // recycled slots
-	live  int
-	index rhIndex
-	order []Key // live keys sorted by compareKeys
-
-	// lifeSeq stamps each created entry with a fresh incarnation id; shared
-	// by both stores so delete/re-create is detectable identically.
+	// lifeSeq stamps each created entry with a fresh incarnation id, so
+	// delete/re-create is detectable.
 	lifeSeq uint64
 
 	// walks is the per-depth key-snapshot scratch for the deterministic
@@ -220,62 +46,11 @@ type Table struct {
 	depth int
 }
 
-// NewTable returns an empty table using the store selected by SetFlatStore.
-func NewTable() *Table { return NewTableWith(FlatStoreEnabled()) }
-
-// NewTableWith returns an empty table with an explicit store choice — the
-// hook the differential tests and the stateplane benchmark use to hold both
-// stores side by side.
-func NewTableWith(flat bool) *Table {
-	t := &Table{flat: flat}
-	if !flat {
-		t.m = map[Key]*Entry{}
-	}
-	return t
-}
-
-// Flat reports which store backs this table.
-func (t *Table) Flat() bool { return t.flat }
-
-func (t *Table) entryAt(slot int) *Entry {
-	return &t.slabs[slot>>slabShift][slot&slabMask]
-}
+// NewTable returns an empty table.
+func NewTable() *Table { return &Table{m: map[Key]*Entry{}} }
 
 // Get returns the entry for the exact key, or nil.
-func (t *Table) Get(k Key) *Entry {
-	if !t.flat {
-		return t.m[k]
-	}
-	if slot, ok := t.indexGet(k); ok {
-		return t.entryAt(slot)
-	}
-	return nil
-}
-
-// HandleOf returns the flat-store handle for k, or 0 when absent (always 0
-// on a map-store table).
-func (t *Table) HandleOf(k Key) Handle {
-	if !t.flat {
-		return 0
-	}
-	if slot, ok := t.indexGet(k); ok {
-		return Handle(slot + 1)
-	}
-	return 0
-}
-
-// At resolves a handle to its entry, or nil if the slot is out of range or
-// currently dead.
-func (t *Table) At(h Handle) *Entry {
-	if !t.flat || h == 0 || int(h) > t.used {
-		return nil
-	}
-	e := t.entryAt(int(h) - 1)
-	if e.dead {
-		return nil
-	}
-	return e
-}
+func (t *Table) Get(k Key) *Entry { return t.m[k] }
 
 // Wildcard returns the (*,G) entry, or nil.
 func (t *Table) Wildcard(g addr.IP) *Entry {
@@ -295,114 +70,53 @@ func (t *Table) SGRpt(s, g addr.IP) *Entry {
 // Upsert returns the entry for k, creating it if absent; created reports
 // whether it was new.
 func (t *Table) Upsert(k Key, now netsim.Time) (e *Entry, created bool) {
-	if e = t.Get(k); e != nil {
+	if e = t.m[k]; e != nil {
 		return e, false
 	}
 	t.lifeSeq++
-	if !t.flat {
-		e = NewEntry(k, now)
-		e.life = t.lifeSeq
-		t.m[k] = e
-		return e, true
-	}
-	var slot int
-	if n := len(t.free); n > 0 {
-		slot = int(t.free[n-1]) - 1
-		t.free = t.free[:n-1]
-	} else {
-		if t.used>>slabShift == len(t.slabs) {
-			t.slabs = append(t.slabs, make([]Entry, slabSize))
-		}
-		slot = t.used
-		t.used++
-	}
-	e = t.entryAt(slot)
-	// Recycle in place: keep the spill/plan capacities, continue the plan
-	// generation, and zero everything else.
-	spill := e.oifSpill[:0]
-	plans := e.plans[:0]
-	gen := e.gen + 1
-	*e = Entry{Key: k, Wildcard: k.Source == 0, Created: now,
-		gen: gen, life: t.lifeSeq, oifSpill: spill, plans: plans}
-	t.indexPut(k, slot)
-	pos, _ := slices.BinarySearchFunc(t.order, k, compareKeys)
-	t.order = slices.Insert(t.order, pos, k)
-	t.live++
+	e = NewEntry(k, now)
+	e.life = t.lifeSeq
+	t.m[k] = e
 	return e, true
 }
 
-// Delete removes an entry. In the flat store the slot is marked dead and
-// recycled by a later Upsert; its fields stay readable until then.
-func (t *Table) Delete(k Key) {
-	if !t.flat {
-		delete(t.m, k)
-		return
-	}
-	slot, ok := t.indexGet(k)
-	if !ok {
-		return
-	}
-	t.indexDel(k)
-	e := t.entryAt(slot)
-	e.dead = true
-	pos, found := slices.BinarySearchFunc(t.order, k, compareKeys)
-	if found {
-		t.order = slices.Delete(t.order, pos, pos+1)
-	}
-	t.free = append(t.free, Handle(slot+1))
-	t.live--
-}
+// Delete removes an entry.
+func (t *Table) Delete(k Key) { delete(t.m, k) }
 
 // Len returns the number of entries — the "state" axis of the paper's
 // overhead metric.
-func (t *Table) Len() int {
-	if !t.flat {
-		return len(t.m)
-	}
-	return t.live
-}
+func (t *Table) Len() int { return len(t.m) }
 
 // ForGroup calls fn for every entry of the group, in deterministic order.
 func (t *Table) ForGroup(g addr.IP, fn func(*Entry)) {
-	t.walkSelected(func(k Key) bool { return k.Group == g }, g, true, fn)
+	t.walkSelected(func(k Key) bool { return k.Group == g }, fn)
 }
 
 // ForEach calls fn for every entry in deterministic order.
 func (t *Table) ForEach(fn func(*Entry)) {
-	t.walkSelected(nil, 0, false, fn)
+	t.walkSelected(nil, fn)
 }
 
 // walkSelected snapshots the selected keys, then visits each entry that is
-// still present — both stores share this exact sequence, so fn may insert
-// or delete entries mid-walk with identical visibility: entries deleted
-// after the snapshot are skipped, entries created after it are not visited.
-func (t *Table) walkSelected(sel func(Key) bool, g addr.IP, grouped bool, fn func(*Entry)) {
+// still present, so fn may insert or delete entries mid-walk: entries
+// deleted after the snapshot are skipped, entries created after it are not
+// visited.
+func (t *Table) walkSelected(sel func(Key) bool, fn func(*Entry)) {
 	d := t.depth
 	t.depth++
 	if d >= len(t.walks) {
 		t.walks = append(t.walks, nil)
 	}
 	keys := t.walks[d][:0]
-	switch {
-	case t.flat && grouped:
-		// order is group-contiguous: binary-search the range start.
-		lo, _ := slices.BinarySearchFunc(t.order, Key{Group: g}, compareKeys)
-		for i := lo; i < len(t.order) && t.order[i].Group == g; i++ {
-			keys = append(keys, t.order[i])
+	for k := range t.m {
+		if sel == nil || sel(k) {
+			keys = append(keys, k)
 		}
-	case t.flat:
-		keys = append(keys, t.order...)
-	default:
-		for k := range t.m {
-			if sel == nil || sel(k) {
-				keys = append(keys, k)
-			}
-		}
-		slices.SortFunc(keys, compareKeys)
 	}
+	slices.SortFunc(keys, compareKeys)
 	t.walks[d] = keys
 	for _, k := range keys {
-		if e := t.Get(k); e != nil {
+		if e := t.m[k]; e != nil {
 			fn(e)
 		}
 	}
@@ -411,11 +125,10 @@ func (t *Table) walkSelected(sel func(Key) bool, g addr.IP, grouped bool, fn fun
 
 // Sweep removes entries whose DeleteAt deadline has passed and prunes
 // expired non-local oifs; it returns the removed entries so the protocol
-// can emit triggered prunes. In the flat store the returned entries are
-// dead slots whose fields stay readable until the next Upsert.
+// can emit triggered prunes.
 func (t *Table) Sweep(now netsim.Time) []*Entry {
 	var removed []*Entry
-	t.walkSelected(nil, 0, false, func(e *Entry) {
+	t.walkSelected(nil, func(e *Entry) {
 		for i := int(e.noif) - 1; i >= 0; i-- {
 			o := e.oifAt(i)
 			if !o.LocalMember && now > o.Expires {
@@ -437,50 +150,32 @@ func (t *Table) Sweep(now netsim.Time) []*Entry {
 	return removed
 }
 
-// Footprint sizes, for the Bytes estimator. The map store heap-allocates
-// every entry individually, so each one really occupies its allocator size
-// class (mapEntryAlloc rounds up to the 32-byte granularity the relevant
-// classes follow), and the map adds the key copy and entry pointer in the
-// bucket plus amortized bucket headers on top (mapEntryOverhead).
+// Footprint sizes, for the Bytes estimator. Every entry is heap-allocated
+// individually, so each one really occupies its allocator size class
+// (entryAlloc rounds up to the 32-byte granularity the relevant classes
+// follow), and the map adds the key copy and entry pointer in the bucket
+// plus amortized bucket headers on top (mapEntryOverhead).
 const (
 	entryBytes       = int64(unsafe.Sizeof(Entry{}))
 	oifBytes         = int64(unsafe.Sizeof(OIF{}))
 	planBytes        = int64(unsafe.Sizeof(plan{}))
 	keyBytes         = int64(unsafe.Sizeof(Key{}))
 	ptrBytes         = int64(unsafe.Sizeof((*Entry)(nil)))
-	mapEntryAlloc    = (entryBytes + 31) &^ 31
+	entryAlloc       = (entryBytes + 31) &^ 31
 	mapEntryOverhead = keyBytes + ptrBytes + 16
 )
 
-// Bytes estimates the table's resident state footprint: everything the
-// store keeps per entry (arena slabs including free slack, index arrays,
-// order slice — or heap entries plus map overhead) plus the spill and
-// compiled-plan capacities hanging off live entries. It is a deterministic
-// estimator, not a heap measurement; the stateplane benchmark pairs it with
-// runtime.ReadMemStats for the ground truth.
+// Bytes estimates the table's resident state footprint: the heap entries
+// plus map overhead, plus the spill and compiled-plan capacities hanging
+// off them. It is a deterministic estimator, not a heap measurement.
 func (t *Table) Bytes() int64 {
 	var b int64
-	side := func(e *Entry) {
+	for _, e := range t.m {
+		b += entryAlloc + mapEntryOverhead
 		b += int64(cap(e.oifSpill)) * oifBytes
 		b += int64(cap(e.plans)) * planBytes
 		for i := range e.plans {
 			b += int64(cap(e.plans[i].out)) * ptrBytes
-		}
-	}
-	if !t.flat {
-		for _, e := range t.m {
-			b += mapEntryAlloc + mapEntryOverhead
-			side(e)
-		}
-		return b
-	}
-	b += int64(len(t.slabs)) * slabSize * entryBytes
-	b += int64(len(t.index.vals)) * 4
-	b += int64(cap(t.order)) * keyBytes
-	b += int64(cap(t.free)) * 4
-	for _, k := range t.order {
-		if e := t.Get(k); e != nil {
-			side(e)
 		}
 	}
 	return b

@@ -1,249 +1,18 @@
 package mfib
 
 import (
-	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 
 	"pim/internal/addr"
 	"pim/internal/netsim"
 )
 
-// dumpEntry renders every visible field of an entry, oif list included, so
-// the lockstep test can compare the two stores' state byte-for-byte.
-func dumpEntry(e *Entry) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%v/%v/%v rp=%v wc=%v spt=%v up=%v created=%d del=%d sup=%d",
-		e.Key.Source, e.Key.Group, e.Key.RPBit, e.RP, e.Wildcard, e.SPTBit,
-		e.UpstreamNeighbor, e.Created, e.DeleteAt, e.SuppressedUntil)
-	if e.IIF != nil {
-		fmt.Fprintf(&b, " iif=%d", e.IIF.Index)
-	}
-	for i := 0; i < e.OIFCount(); i++ {
-		o := e.OIFAt(i)
-		fmt.Fprintf(&b, " oif(%d exp=%d lm=%v pp=%v pd=%d)",
-			o.Iface.Index, o.Expires, o.LocalMember, o.PrunePending, o.PruneDeadline)
-	}
-	return b.String()
-}
-
-func dumpTable(t *Table) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "len=%d\n", t.Len())
-	t.ForEach(func(e *Entry) {
-		b.WriteString(dumpEntry(e))
-		b.WriteByte('\n')
-	})
-	return b.String()
-}
-
-// TestFlatMapStoreLockstep drives tens of thousands of mixed operations
-// against the flat and map stores in lockstep and requires identical
-// visible state at every step: same lookups, same walk order, same Sweep
-// results, same full-table dumps. This is the differential oracle for the
-// arena/index/order machinery of DESIGN.md §16.
-func TestFlatMapStoreLockstep(t *testing.T) {
-	const ops = 60000
-	rng := rand.New(rand.NewSource(7))
-	ifs := testIfaces(7) // wider than inlineOIFCap to exercise the spill path
-	flat := NewTableWith(true)
-	ref := NewTableWith(false)
-
-	groups := make([]addr.IP, 5)
-	for i := range groups {
-		groups[i] = addr.GroupForIndex(i)
-	}
-	sources := []addr.IP{0, addr.V4(10, 1, 0, 1), addr.V4(10, 2, 0, 1), addr.V4(10, 3, 0, 1)}
-
-	randKey := func() Key {
-		s := sources[rng.Intn(len(sources))]
-		return Key{Source: s, Group: groups[rng.Intn(len(groups))], RPBit: s == 0 || rng.Intn(2) == 0}
-	}
-
-	var now netsim.Time
-	for i := 0; i < ops; i++ {
-		now += netsim.Time(rng.Intn(8))
-		k := randKey()
-		fe, re := flat.Get(k), ref.Get(k)
-		if (fe == nil) != (re == nil) {
-			t.Fatalf("op %d: Get(%v) presence differs: flat=%v ref=%v", i, k, fe != nil, re != nil)
-		}
-		switch op := rng.Intn(20); {
-		case op < 5: // upsert
-			fe2, fc := flat.Upsert(k, now)
-			re2, rc := ref.Upsert(k, now)
-			if fc != rc {
-				t.Fatalf("op %d: Upsert(%v) created differs: flat=%v ref=%v", i, k, fc, rc)
-			}
-			if fc {
-				rp := sources[1+rng.Intn(len(sources)-1)]
-				fe2.RP, re2.RP = rp, rp
-				up := addr.V4(10, 99, byte(rng.Intn(4)), 1)
-				fe2.UpstreamNeighbor, re2.UpstreamNeighbor = up, up
-				ifc := ifs[rng.Intn(len(ifs))]
-				fe2.IIF, re2.IIF = ifc, ifc
-			}
-		case op < 9: // add oif
-			if fe != nil {
-				ifc := ifs[rng.Intn(len(ifs))]
-				exp := now + netsim.Time(rng.Intn(200))
-				if rng.Intn(3) == 0 {
-					fe.AddLocalOIF(ifc)
-					re.AddLocalOIF(ifc)
-				} else {
-					fe.AddOIF(ifc, exp)
-					re.AddOIF(ifc, exp)
-				}
-			}
-		case op < 11: // remove oif
-			if fe != nil {
-				ifc := ifs[rng.Intn(len(ifs))]
-				fe.RemoveOIF(ifc)
-				re.RemoveOIF(ifc)
-			}
-		case op < 13: // flip oif fields in place, as the engines do
-			if fe != nil {
-				idx := ifs[rng.Intn(len(ifs))].Index
-				fo, ro := fe.OIF(idx), re.OIF(idx)
-				if (fo == nil) != (ro == nil) {
-					t.Fatalf("op %d: OIF(%d) presence differs on %v", i, idx, k)
-				}
-				if fo != nil {
-					switch rng.Intn(3) {
-					case 0:
-						fo.LocalMember = !fo.LocalMember
-						ro.LocalMember = fo.LocalMember
-					case 1:
-						fo.PrunePending = !fo.PrunePending
-						ro.PrunePending = fo.PrunePending
-					case 2:
-						fo.Expires = now + netsim.Time(rng.Intn(150))
-						ro.Expires = fo.Expires
-					}
-					fe.Touch()
-					re.Touch()
-				}
-			}
-		case op < 14: // entry-level timers
-			if fe != nil {
-				d := now + netsim.Time(rng.Intn(100))
-				fe.DeleteAt, re.DeleteAt = d, d
-			}
-		case op < 16: // delete
-			flat.Delete(k)
-			ref.Delete(k)
-		case op < 17: // sweep
-			fr := flat.Sweep(now)
-			rr := ref.Sweep(now)
-			if len(fr) != len(rr) {
-				t.Fatalf("op %d: Sweep removed %d vs %d", i, len(fr), len(rr))
-			}
-			for j := range fr {
-				if fr[j].Key != rr[j].Key {
-					t.Fatalf("op %d: Sweep[%d] key %v vs %v", i, j, fr[j].Key, rr[j].Key)
-				}
-			}
-		case op < 18: // walk with mid-walk mutation
-			g := groups[rng.Intn(len(groups))]
-			var fseq, rseq []Key
-			del := randKey()
-			flat.ForGroup(g, func(e *Entry) {
-				fseq = append(fseq, e.Key)
-				flat.Delete(del)
-			})
-			ref.ForGroup(g, func(e *Entry) {
-				rseq = append(rseq, e.Key)
-				ref.Delete(del)
-			})
-			if len(fseq) != len(rseq) {
-				t.Fatalf("op %d: ForGroup visited %d vs %d", i, len(fseq), len(rseq))
-			}
-			for j := range fseq {
-				if fseq[j] != rseq[j] {
-					t.Fatalf("op %d: ForGroup order differs at %d: %v vs %v", i, j, fseq[j], rseq[j])
-				}
-			}
-		default: // read-only probes
-			if fe != nil {
-				if fe.OIFEmpty(now) != re.OIFEmpty(now) {
-					t.Fatalf("op %d: OIFEmpty differs on %v", i, k)
-				}
-				ifc := ifs[rng.Intn(len(ifs))]
-				if fe.HasOIF(ifc, now) != re.HasOIF(ifc, now) {
-					t.Fatalf("op %d: HasOIF differs on %v", i, k)
-				}
-				fl := fe.LiveOIFs(now, nil)
-				rl := re.LiveOIFs(now, nil)
-				if len(fl) != len(rl) {
-					t.Fatalf("op %d: LiveOIFs %d vs %d on %v", i, len(fl), len(rl), k)
-				}
-				for j := range fl {
-					if fl[j] != rl[j] {
-						t.Fatalf("op %d: LiveOIFs[%d] differs on %v", i, j, k)
-					}
-				}
-			}
-		}
-		if flat.Len() != ref.Len() {
-			t.Fatalf("op %d: Len %d vs %d", i, flat.Len(), ref.Len())
-		}
-		// Handle self-consistency on the flat side.
-		if fe2 := flat.Get(k); fe2 != nil {
-			h := flat.HandleOf(k)
-			if h == 0 || flat.At(h) != fe2 {
-				t.Fatalf("op %d: handle round-trip broken for %v", i, k)
-			}
-		} else if h := flat.HandleOf(k); h != 0 {
-			t.Fatalf("op %d: dead key %v still has handle %d", i, k, h)
-		}
-		if i%500 == 0 {
-			if fd, rd := dumpTable(flat), dumpTable(ref); fd != rd {
-				t.Fatalf("op %d: full dumps diverge\nflat:\n%s\nref:\n%s", i, fd, rd)
-			}
-		}
-	}
-	if fd, rd := dumpTable(flat), dumpTable(ref); fd != rd {
-		t.Fatalf("final dumps diverge\nflat:\n%s\nref:\n%s", fd, rd)
-	}
-}
-
-// TestFlatStoreRecycleIdentity pins the slot-recycling contract: deleting
-// and re-creating a key must yield a fresh Life() in both stores, and a
-// recycled flat slot must continue (not reset) its plan generation so a
-// stale plan dependency can never revalidate.
-func TestFlatStoreRecycleIdentity(t *testing.T) {
-	g := addr.GroupForIndex(0)
-	k := Key{Group: g, RPBit: true}
-	for _, flatMode := range []bool{true, false} {
-		tb := NewTableWith(flatMode)
-		e1, _ := tb.Upsert(k, 0)
-		l1, g1 := e1.Life(), e1.Gen()
-		e1.Touch()
-		tb.Delete(k)
-		e2, created := tb.Upsert(k, 5)
-		if !created {
-			t.Fatalf("flat=%v: re-create not reported as created", flatMode)
-		}
-		if e2.Life() == l1 {
-			t.Errorf("flat=%v: recreated entry kept Life %d", flatMode, l1)
-		}
-		if flatMode && e2 == e1 && e2.Gen() <= g1 {
-			t.Errorf("flat=%v: recycled slot reset its generation (%d -> %d)", flatMode, g1, e2.Gen())
-		}
-		if e2.Created != 5 {
-			t.Errorf("flat=%v: recreated entry kept Created", flatMode)
-		}
-		if e2.OIFCount() != 0 {
-			t.Errorf("flat=%v: recreated entry kept oifs", flatMode)
-		}
-	}
-}
-
-// TestFlatStoreSpill exercises the inline→spill transition both ways.
+// TestFlatStoreSpill exercises the inline→spill transition of the oif list
+// both ways: fan-outs wider than inlineOIFCap spill to the heap slice, stay
+// sorted by interface index, and shrink back across the boundary.
 func TestFlatStoreSpill(t *testing.T) {
 	ifs := testIfaces(inlineOIFCap + 3)
-	tb := NewTableWith(true)
+	tb := NewTable()
 	e, _ := tb.Upsert(Key{Group: addr.GroupForIndex(0), RPBit: true}, 0)
 	for i, ifc := range ifs {
 		e.AddOIF(ifc, netsim.Time(100+i))

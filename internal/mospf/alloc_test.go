@@ -15,9 +15,6 @@ import (
 // re-origination that changed nothing. (See the core engine's twin for the
 // warm-up rationale.)
 func TestLSAFloodZeroAlloc(t *testing.T) {
-	prev := netsim.SetFramePool(true)
-	defer netsim.SetFramePool(prev)
-
 	net := netsim.NewNetwork()
 	na := net.AddNode("a")
 	nb := net.AddNode("b")

@@ -12,7 +12,7 @@ import (
 // before the deadline, or churn experiments grow the heap without bound.
 // (The timing wheel reclaims lazily instead — see TestWheelStopReclaim.)
 func TestStoppedTimerCompaction(t *testing.T) {
-	s := NewSchedulerWith(false)
+	s := newHeapScheduler()
 	const n = 1000
 	timers := make([]*Timer, n)
 	for i := range timers {

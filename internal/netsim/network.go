@@ -319,20 +319,12 @@ func (nd *Node) Send(out *Iface, pkt *packet.Packet, nextHop addr.IP) {
 	}
 	link := out.Link
 	net := nd.Net
-	// Pooled path (the default): marshal straight into a recycled frame, so
-	// pkt — and any scratch buffer backing its Payload — is free for reuse
-	// the moment Send returns. The allocating closure path below is the
-	// differential oracle (SetFramePool).
-	var f *frame
-	var buf []byte
+	// Marshal straight into a recycled frame, so pkt — and any scratch
+	// buffer backing its Payload — is free for reuse the moment Send
+	// returns.
+	f := net.schedFor(nd).frames.get()
 	var err error
-	if framePoolOn.Load() {
-		f = net.schedFor(nd).frames.get()
-		f.buf, err = pkt.MarshalTo(f.buf[:0])
-		buf = f.buf
-	} else {
-		buf, err = pkt.Marshal()
-	}
+	f.buf, err = pkt.MarshalTo(f.buf[:0])
 	if err != nil {
 		panic("netsim: marshal failed: " + err.Error())
 	}
@@ -344,7 +336,7 @@ func (nd *Node) Send(out *Iface, pkt *packet.Packet, nextHop addr.IP) {
 		jit = net.Jitter(out, pkt)
 	}
 	if set := net.set; set != nil {
-		nd.sendSharded(set, out, link, f, buf, nextHop, jit)
+		nd.sendSharded(set, out, link, f, nextHop, jit)
 		return
 	}
 	// Serialization and queueing under finite bandwidth.
@@ -375,13 +367,8 @@ func (nd *Node) Send(out *Iface, pkt *packet.Packet, nextHop addr.IP) {
 	// shard count.
 	delay := link.Delay + jit
 	nd.xmit++
-	if f != nil {
-		f.net, f.from, f.link, f.nextHop, f.shard = net, out, link, nextHop, -1
-		net.Sched.enqueueDeliveryFrame(now+txDone+delay, now, deliveryOrd(nd.ID, nd.xmit), f)
-	} else {
-		net.Sched.enqueueDelivery(now+txDone+delay, now, deliveryOrd(nd.ID, nd.xmit),
-			func() { net.deliverFrame(out, link, buf, nextHop, -1) })
-	}
+	f.net, f.from, f.link, f.nextHop, f.shard = net, out, link, nextHop, -1
+	net.Sched.enqueueDelivery(now+txDone+delay, now, deliveryOrd(nd.ID, nd.xmit), f)
 }
 
 // sendSharded routes one transmission in a sharded run: stations on the
@@ -391,7 +378,7 @@ func (nd *Node) Send(out *Iface, pkt *packet.Packet, nextHop addr.IP) {
 // barrier. Finite bandwidth is rejected up front by shardSet.prepare, so
 // the deadline is propagation delay plus any jitter (jitter only adds
 // delay, so the conservative lookahead bound still holds).
-func (nd *Node) sendSharded(set *shardSet, out *Iface, link *Link, f *frame, buf []byte, nextHop addr.IP, jit Time) {
+func (nd *Node) sendSharded(set *shardSet, out *Iface, link *Link, f *frame, nextHop addr.IP, jit Time) {
 	net := nd.Net
 	sched := set.scheds[nd.shard]
 	now := sched.Now()
@@ -423,40 +410,26 @@ func (nd *Node) sendSharded(set *shardSet, out *Iface, link *Link, f *frame, buf
 			dst:     foreign,
 			from:    out,
 			link:    link,
-			frame:   append([]byte(nil), buf...),
+			frame:   append([]byte(nil), f.buf...),
 			nextHop: nextHop,
 		})
 	}
 	if local {
-		if f != nil {
-			f.net, f.from, f.link, f.nextHop, f.shard = net, out, link, nextHop, nd.shard
-			sched.enqueueDeliveryFrame(now+delay, now, deliveryOrd(nd.ID, nd.xmit), f)
-		} else {
-			myShard := nd.shard
-			sched.enqueueDelivery(now+delay, now, deliveryOrd(nd.ID, nd.xmit),
-				func() { net.deliverFrame(out, link, buf, nextHop, myShard) })
-		}
-	} else if f != nil {
+		f.net, f.from, f.link, f.nextHop, f.shard = net, out, link, nextHop, nd.shard
+		sched.enqueueDelivery(now+delay, now, deliveryOrd(nd.ID, nd.xmit), f)
+	} else {
 		// Purely cross-shard: the outbox record owns a copy, so the frame
 		// goes straight back to its pool.
 		sched.frames.put(f)
 	}
 }
 
-// deliverFrame takes one frame off the link: a single unmarshal, then
-// delivery to every eligible attached interface. shard restricts delivery
-// to stations owned by that shard (-1 delivers to all stations — the
-// sequential path).
-func (n *Network) deliverFrame(from *Iface, link *Link, frame []byte, nextHop addr.IP, shard int) {
-	pkt, err := packet.Unmarshal(frame)
-	n.fanout(from, link, pkt, err, nextHop, shard, nil)
-}
-
-// fanout delivers one decoded frame to every eligible station. rcv, when
-// non-nil, is a reusable per-receiver header scratch (the pooled path);
-// nil makes each receiver's header copy a fresh allocation (the oracle
-// path). Either way a handler mutating its view (TTL etc.) cannot leak
-// into the next station's delivery.
+// fanout delivers one decoded frame to every eligible station. shard
+// restricts delivery to stations owned by that shard (-1 delivers to all
+// stations — the sequential path). rcv is the frame's per-receiver header
+// scratch: each station gets a fresh copy of pkt in it, so a handler
+// mutating its view (TTL etc.) cannot leak into the next station's
+// delivery.
 func (n *Network) fanout(from *Iface, link *Link, pkt *packet.Packet, err error, nextHop addr.IP, shard int, rcv *packet.Packet) {
 	lan := link.IsLAN()
 	for _, to := range link.Ifaces {
@@ -477,13 +450,8 @@ func (n *Network) fanout(from *Iface, link *Link, pkt *packet.Packet, err error,
 			n.statsFor(to.Node).Drop(DropMalformed)
 			continue
 		}
-		if rcv != nil {
-			*rcv = *pkt
-			n.deliver(from, to, rcv)
-		} else {
-			cp := *pkt
-			n.deliver(from, to, &cp)
-		}
+		*rcv = *pkt
+		n.deliver(from, to, rcv)
 	}
 }
 

@@ -56,16 +56,15 @@ type Timer struct {
 // Stop cancels the timer. It reports whether the cancellation prevented the
 // callback (false if the timer already fired or was already stopped).
 //
-// On the timing wheel this is the O(1) lazy cancel: the entry is marked dead
-// in place (the callback is released immediately) and its queue slot is
-// normally reclaimed when a cascade or the firing cursor next passes it. On
-// the reference heap, stopped entries stay queued until their deadline or
-// until a compaction sweep reclaims them. Both queues share the same
-// dead-majority rule (swept once dead entries outnumber live ones): without
-// it, soft-state protocols that Stop/Reset long-deadline expiry timers on
-// every refresh park dead entries in far-future slots for the full original
-// lifetime, and the parked majority turns slot growth and cascades into the
-// dominant cost (observed as a >2x slowdown at 1000-router scale).
+// This is the timing wheel's O(1) lazy cancel: the entry is marked dead in
+// place (the callback is released immediately) and its queue slot is
+// normally reclaimed when a cascade or the firing cursor next passes it, or
+// by the dead-majority sweep (run once dead entries outnumber live ones,
+// the same rule the heap oracle follows). Without the sweep, soft-state
+// protocols that Stop/Reset long-deadline expiry timers on every refresh
+// park dead entries in far-future slots for the full original lifetime,
+// and the parked majority turns slot growth and cascades into the dominant
+// cost (observed as a >2x slowdown at 1000-router scale).
 func (t *Timer) Stop() bool {
 	if t.fired || t.stopped {
 		return false
@@ -166,17 +165,18 @@ type event struct {
 	ord uint64
 	fn  func()
 	tm  *Timer
-	// fr, when non-nil, makes this a pooled frame-delivery event: fire
+	// fr, when non-nil, makes this a frame-delivery event: fire
 	// dispatches the frame without a closure and recycles it afterwards.
 	fr *frame
 }
 
 // before orders events by (deadline, birth instant, order key): a strict
 // total order computed from values that do not depend on shard count or
-// backing store, so the execution sequence is identical on the sequential
-// and sharded paths — the determinism the differential gates assert on. At
-// an equal (deadline, birth instant), deliveries (localOrd clear) precede
-// locally scheduled callbacks, which fire in scheduling order.
+// queue structure, so the execution sequence is identical on the sequential
+// and sharded paths (and on the wheel and its heap oracle) — the
+// determinism the differential gates assert on. At an equal (deadline,
+// birth instant), deliveries (localOrd clear) precede locally scheduled
+// callbacks, which fire in scheduling order.
 func (e event) before(o event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -196,11 +196,10 @@ func (e event) dead() bool { return e.tm != nil && (e.tm.stopped || e.tm.seq != 
 // Scheduler is a deterministic discrete-event scheduler. Events scheduled
 // for the same instant fire in scheduling order.
 //
-// Two interchangeable backing stores implement the queue: the hierarchical
-// timing wheel (schedWheel, the default — O(1) insert and lazy cancel) and
-// the binary heap kept as the reference implementation (schedHeap). The
-// UseWheel toggle selects the store at construction; both produce
-// bit-identical fire order (see the differential tests in wheel_test.go).
+// The queue is the hierarchical timing wheel (schedWheel: O(1) insert and
+// lazy cancel). The binary heap (schedHeap) survives only as the wheel's
+// test oracle: wheel_test.go builds heap-backed schedulers and requires
+// bit-identical fire order from both.
 type Scheduler struct {
 	now   Time
 	seq   uint64
@@ -234,19 +233,8 @@ type Scheduler struct {
 }
 
 // NewScheduler returns a scheduler positioned at time 0, backed by the
-// timing wheel or the reference heap according to UseWheel.
-func NewScheduler() *Scheduler { return NewSchedulerWith(UseWheel()) }
-
-// NewSchedulerWith returns a scheduler with an explicit backing store:
-// wheel=true for the timing wheel, false for the reference binary heap.
-// Benchmarks and differential tests use this; everything else goes through
-// NewScheduler and the global toggle.
-func NewSchedulerWith(wheel bool) *Scheduler {
-	if wheel {
-		return &Scheduler{wheel: newWheel()}
-	}
-	return &Scheduler{heap: &schedHeap{}}
-}
+// timing wheel.
+func NewScheduler() *Scheduler { return &Scheduler{wheel: newWheel()} }
 
 // Now returns the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -313,30 +301,15 @@ func (s *Scheduler) Post(d Time, fn func()) {
 	s.enqueue(event{at: s.now + d, bs: s.now, ord: s.nextSeq() | localOrd, fn: fn})
 }
 
-// enqueueDelivery inserts a packet-delivery event carrying the structural
+// enqueueDelivery inserts a frame-delivery event carrying the structural
 // deliveryOrd key (localOrd clear). Both execution paths use it — Node.Send
 // locally, shardSet.exchange for merged cross-shard arrivals — so same-
 // instant deliveries fire in (source, transmit sequence) order everywhere.
 // On the timing wheel the deadline's slot is marked for an order-restoring
-// sort at fire time, since structural keys need not match append order.
-func (s *Scheduler) enqueueDelivery(at, bs Time, ord uint64, fn func()) {
-	s.live++
-	if s.live > s.peakLive {
-		s.peakLive = s.live
-	}
-	ev := event{at: at, bs: bs, ord: ord, fn: fn}
-	if s.wheel != nil {
-		s.wheel.markDirty(at)
-		s.wheel.push(ev, s.now)
-	} else {
-		s.heap.push(ev)
-	}
-}
-
-// enqueueDeliveryFrame is enqueueDelivery for a pooled frame: same ordering
-// key, no closure — the event record carries the frame pointer and fire
-// dispatches it directly.
-func (s *Scheduler) enqueueDeliveryFrame(at, bs Time, ord uint64, f *frame) {
+// sort at fire time, since structural keys need not match append order. The
+// event record carries the frame pointer, no closure; fire dispatches it
+// directly.
+func (s *Scheduler) enqueueDelivery(at, bs Time, ord uint64, f *frame) {
 	s.live++
 	if s.live > s.peakLive {
 		s.peakLive = s.live
@@ -399,9 +372,9 @@ func (s *Scheduler) fire(ev event) {
 	s.Processed++
 	s.live--
 	if f := ev.fr; f != nil {
-		// Pooled frame delivery: fan out synchronously, then the frame —
-		// and everything borrowed from it — is dead and recycled.
-		f.net.deliverPooled(f)
+		// Frame delivery: fan out synchronously, then the frame — and
+		// everything borrowed from it — is dead and recycled.
+		f.net.deliverFrame(f)
 		s.frames.put(f)
 		return
 	}
@@ -485,10 +458,9 @@ func (s *Scheduler) Halted() bool { return s.halted }
 // ClearHalt re-arms a halted scheduler so run loops make progress again.
 func (s *Scheduler) ClearHalt() { s.halted = false }
 
-// schedHeap is the reference queue: a binary heap ordered by (at, seq) with
-// stopped-timer compaction. It is kept selectable (UseWheel=false) so the
-// wheel's fire order can be differentially verified against it and so the
-// scaling ledger records an honest before/after.
+// schedHeap is the oracle queue: a binary heap ordered by (at, seq) with
+// stopped-timer compaction. Only tests construct heap-backed schedulers;
+// they hold the wheel's fire order to it.
 type schedHeap struct {
 	events   []event
 	nstopped int // stopped timers still occupying heap slots

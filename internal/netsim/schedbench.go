@@ -4,13 +4,12 @@ package netsim
 // (BenchmarkSchedulerChurn/Dense) and cmd/pimbench, which replays them via
 // testing.Benchmark to record ns/op and allocs/op in the BENCH_scale.json
 // ledger. They live in a non-test file so the bench harness can import
-// them; they use a fixed-seed LCG (no math/rand, no wall clock) so both
-// backing stores see the byte-identical operation sequence.
+// them; they use a fixed-seed LCG (no math/rand, no wall clock) so every
+// run sees the byte-identical operation sequence.
 
 // benchParked is the background population of long-deadline soft-state
-// timers both workloads run on top of. It is what gives the reference heap
-// its log-depth sift cost and its compaction-sweep burden; the wheel just
-// files them upstairs.
+// timers both workloads run on top of; the wheel files them in its upper
+// levels.
 const benchParked = 1 << 20
 
 func benchNop() {}
@@ -19,17 +18,16 @@ func benchNop() {}
 // constants) used to derive workload deadlines.
 func benchLCG(x uint64) uint64 { return x*6364136223846793005 + 1442695040888963407 }
 
-// PrepSchedulerBench returns a scheduler on the requested backing store,
-// preloaded with benchParked timers parked 1000-2000 simulated seconds out
-// — far enough that neither workload ever reaches them, close enough to
-// stay inside the wheel's 2^32 µs span.
-func PrepSchedulerBench(wheel bool) *Scheduler {
-	s := NewSchedulerWith(wheel)
+// PrepSchedulerBench returns a scheduler preloaded with benchParked timers
+// parked 1000-2000 simulated seconds out — far enough that neither workload
+// ever reaches them, close enough to stay inside the wheel's 2^32 µs span.
+func PrepSchedulerBench() *Scheduler {
+	s := NewScheduler()
 	rng := uint64(0x9E3779B97F4A7C15)
 	for i := 0; i < benchParked; i++ {
 		rng = benchLCG(rng)
 		// Post, not After: the background population should cost the
-		// backing store its queue-size-dependent work without adding 64k
+		// queue its size-dependent work without adding 64k
 		// Timer objects for the GC to mark on every cycle the measured
 		// loop's allocations trigger.
 		s.Post(1000*Second+Time(rng%uint64(1000*Second)), benchNop)

@@ -47,31 +47,10 @@ package netsim
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pim/internal/addr"
 )
-
-// numShards is the process-global default shard count for subsequently
-// built simulations, mirroring the UseWheel/fastpath toggles. 1 (the
-// default) means fully sequential execution.
-var numShards atomic.Int32
-
-func init() { numShards.Store(1) }
-
-// Shards returns the current default shard count.
-func Shards() int { return int(numShards.Load()) }
-
-// SetShards sets the default shard count for subsequently built simulations
-// and returns the previous setting. Values below 1 are clamped to 1.
-// Existing networks are unaffected.
-func SetShards(n int) (prev int) {
-	if n < 1 {
-		n = 1
-	}
-	return int(numShards.Swap(int32(n)))
-}
 
 // ShardLoad is one shard's execution counters over a sharded run: events
 // executed, wall-clock time spent idle at window barriers while a sibling
@@ -142,7 +121,6 @@ func (n *Network) Shard(nshards int, shardOf func(*Node) int) {
 	if n.Sched.now != 0 || n.Sched.Pending() != 0 || n.Sched.Processed != 0 {
 		panic("netsim: Shard must be called before any event is scheduled or run")
 	}
-	wheel := n.Sched.wheel != nil
 	ss := &shardSet{
 		net:           n,
 		n:             nshards,
@@ -154,7 +132,7 @@ func (n *Network) Shard(nshards int, shardOf func(*Node) int) {
 		prevProcessed: make([]int64, nshards),
 	}
 	for i := range ss.scheds {
-		ss.scheds[i] = NewSchedulerWith(wheel)
+		ss.scheds[i] = NewScheduler()
 		ss.loads[i].Shard = i
 	}
 	for _, nd := range n.Nodes {
@@ -427,26 +405,18 @@ func (ss *shardSet) runWindow(until Time) {
 // with its own local deliveries in canonical order automatically.
 func (ss *shardSet) exchange() {
 	net := ss.net
-	pooled := framePoolOn.Load()
 	for s := range ss.outboxes {
-		for _, r := range ss.outboxes[s] {
-			rec := r
+		for _, rec := range ss.outboxes[s] {
 			dst := rec.dst
 			sched := ss.scheds[dst]
-			if pooled {
-				// The record's byte copy becomes the frame buffer outright —
-				// ownership transfers to the destination shard's pool, no
-				// second copy. Exchange runs serially at the barrier with
-				// every shard quiesced, so touching the destination pool here
-				// is race-free.
-				f := sched.frames.get()
-				f.buf = rec.frame
-				f.net, f.from, f.link, f.nextHop, f.shard = net, rec.from, rec.link, rec.nextHop, dst
-				sched.enqueueDeliveryFrame(rec.at, rec.bs, deliveryOrd(rec.src, rec.xmit), f)
-			} else {
-				sched.enqueueDelivery(rec.at, rec.bs, deliveryOrd(rec.src, rec.xmit),
-					func() { net.deliverFrame(rec.from, rec.link, rec.frame, rec.nextHop, dst) })
-			}
+			// The record's byte copy becomes the frame buffer outright —
+			// ownership transfers to the destination shard's pool, no second
+			// copy. Exchange runs serially at the barrier with every shard
+			// quiesced, so touching the destination pool here is race-free.
+			f := sched.frames.get()
+			f.buf = rec.frame
+			f.net, f.from, f.link, f.nextHop, f.shard = net, rec.from, rec.link, rec.nextHop, dst
+			sched.enqueueDelivery(rec.at, rec.bs, deliveryOrd(rec.src, rec.xmit), f)
 		}
 		ss.outboxes[s] = ss.outboxes[s][:0]
 	}

@@ -22,13 +22,14 @@ type ringResult struct {
 // action, and returns the per-node logs and final stats. All link delays are
 // equal and the pump interval divides into them, so many packets collide on
 // the same microsecond — exactly the tie patterns the structural ordering
-// key must resolve identically on both execution paths.
-func runRing(shards int, wheel bool) ringResult {
-	prevWheel := SetUseWheel(wheel)
-	defer SetUseWheel(prevWheel)
-
+// key must resolve identically on both execution paths. heap swaps every
+// scheduler for the binary-heap oracle.
+func runRing(shards int, heap bool) ringResult {
 	const n = 9
 	net := NewNetwork()
+	if heap {
+		net.Sched = newHeapScheduler()
+	}
 	nodes := make([]*Node, n)
 	for i := range nodes {
 		nodes[i] = net.AddNode(fmt.Sprintf("r%d", i))
@@ -49,6 +50,11 @@ func runRing(shards int, wheel bool) ringResult {
 			}
 			panic("unknown node")
 		})
+		if heap {
+			for i := range net.set.scheds {
+				net.set.scheds[i] = newHeapScheduler()
+			}
+		}
 	}
 
 	logs := make([][]string, n)
@@ -98,31 +104,29 @@ func runRing(shards int, wheel bool) ringResult {
 	return ringResult{logs: logs, stats: net.Stats}
 }
 
-// The netsim-level determinism gate: shard count (and backing store) must be
-// unobservable — every node's event stream and every network counter must be
+// The netsim-level determinism gate: shard count must be unobservable —
+// every node's event stream and every network counter must be
 // bit-identical to the sequential run's.
 func TestShardedRingMatchesSequential(t *testing.T) {
-	for _, wheel := range []bool{true, false} {
-		base := runRing(1, wheel)
-		if len(base.logs[0]) == 0 || base.stats.Received == 0 {
-			t.Fatalf("wheel=%v: sequential oracle saw no traffic", wheel)
-		}
-		if base.stats.Drops[DropLinkDown] == 0 {
-			t.Fatalf("wheel=%v: link flap produced no drops; root action untested", wheel)
-		}
-		for _, k := range []int{2, 3, 4} {
-			got := runRing(k, wheel)
-			for i := range base.logs {
-				if !reflect.DeepEqual(got.logs[i], base.logs[i]) {
-					at, what := diffAt(base.logs[i], got.logs[i])
-					t.Fatalf("wheel=%v shards=%d: node %d log diverges at entry %d (seq vs shd): %s",
-						wheel, k, i, at, what)
-				}
+	base := runRing(1, false)
+	if len(base.logs[0]) == 0 || base.stats.Received == 0 {
+		t.Fatal("sequential oracle saw no traffic")
+	}
+	if base.stats.Drops[DropLinkDown] == 0 {
+		t.Fatal("link flap produced no drops; root action untested")
+	}
+	for _, k := range []int{2, 3, 4} {
+		got := runRing(k, false)
+		for i := range base.logs {
+			if !reflect.DeepEqual(got.logs[i], base.logs[i]) {
+				at, what := diffAt(base.logs[i], got.logs[i])
+				t.Fatalf("shards=%d: node %d log diverges at entry %d (seq vs shd): %s",
+					k, i, at, what)
 			}
-			if !reflect.DeepEqual(got.stats, base.stats) {
-				t.Errorf("wheel=%v shards=%d: stats diverge:\n  seq: %+v\n  shd: %+v",
-					wheel, k, base.stats, got.stats)
-			}
+		}
+		if !reflect.DeepEqual(got.stats, base.stats) {
+			t.Errorf("shards=%d: stats diverge:\n  seq: %+v\n  shd: %+v",
+				k, base.stats, got.stats)
 		}
 	}
 }
@@ -138,30 +142,16 @@ func diffAt(a, b []string) (int, string) {
 }
 
 // Cross-backend check: the sharded wheel path must match the sharded heap
-// path too (the two stores share only the event.before contract).
+// oracle too (the two queues share only the event.before contract).
 func TestShardedWheelMatchesShardedHeap(t *testing.T) {
-	w := runRing(4, true)
-	h := runRing(4, false)
+	w := runRing(4, false)
+	h := runRing(4, true)
 	if !reflect.DeepEqual(w.logs, h.logs) {
 		t.Error("sharded wheel and sharded heap logs diverge")
 	}
 	if !reflect.DeepEqual(w.stats, h.stats) {
 		t.Errorf("sharded wheel and sharded heap stats diverge:\n  wheel: %+v\n  heap:  %+v",
 			w.stats, h.stats)
-	}
-}
-
-func TestSetShardsToggle(t *testing.T) {
-	prev := SetShards(4)
-	defer SetShards(prev)
-	if Shards() != 4 {
-		t.Fatalf("Shards() = %d after SetShards(4)", Shards())
-	}
-	if SetShards(0) != 4 {
-		t.Fatal("SetShards did not return previous value")
-	}
-	if Shards() != 1 {
-		t.Fatalf("Shards() = %d after clamped SetShards(0), want 1", Shards())
 	}
 }
 

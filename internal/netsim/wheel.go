@@ -1,7 +1,7 @@
 package netsim
 
-// Hierarchical timing wheel (Varghese & Lauck, SOSP '87): the default
-// backing store for the Scheduler. Four levels of 256 slots at a 1µs base
+// Hierarchical timing wheel (Varghese & Lauck, SOSP '87): the Scheduler's
+// queue. Four levels of 256 slots at a 1µs base
 // tick cover 2^32 µs (~71.6 simulated minutes) of lookahead; anything
 // further out parks in an overflow heap and migrates into the wheels one
 // 2^32 µs block at a time. Insert is O(1) (a byte extraction and a slice
@@ -47,24 +47,7 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 )
-
-// useWheel selects the Scheduler's backing store at construction: the
-// timing wheel (default) or the reference binary heap. Same shape as the
-// internal/fastpath toggle: a process-global atomic flipped by differential
-// tests and the pimbench before/after sweeps.
-var useWheel atomic.Bool
-
-func init() { useWheel.Store(true) }
-
-// UseWheel reports whether new Schedulers are backed by the timing wheel.
-func UseWheel() bool { return useWheel.Load() }
-
-// SetUseWheel selects the backing store for subsequently constructed
-// Schedulers and returns the previous setting. Existing Schedulers are
-// unaffected.
-func SetUseWheel(on bool) (prev bool) { return useWheel.Swap(on) }
 
 const (
 	wheelLevels = 4

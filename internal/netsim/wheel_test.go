@@ -13,6 +13,17 @@ import (
 // migration). This is the tentpole's determinism gate.
 // ---------------------------------------------------------------------------
 
+// newHeapScheduler returns a scheduler backed by the binary heap: the
+// oracle the wheel's fire order is held to.
+func newHeapScheduler() *Scheduler { return &Scheduler{heap: &schedHeap{}} }
+
+// bothStores names the wheel and its heap oracle for the tests that hold a
+// property on each.
+var bothStores = []struct {
+	name string
+	mk   func() *Scheduler
+}{{"heap", newHeapScheduler}, {"wheel", NewScheduler}}
+
 type schedOp struct {
 	kind int  // 0 After, 1 At, 2 Post, 3 Stop, 4 Step, 5 RunUntil, 6 Run, 7 Reset
 	arg  Time // delay / absolute time / stop index / run budget
@@ -131,8 +142,8 @@ func applyOps(s *Scheduler, ops []schedOp) []fireRec {
 func TestWheelDifferentialRandomOps(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 0xDEADBEEF, 0xC0FFEE} {
 		ops := genOps(seed, 4000)
-		ref := applyOps(NewSchedulerWith(false), ops)
-		got := applyOps(NewSchedulerWith(true), ops)
+		ref := applyOps(newHeapScheduler(), ops)
+		got := applyOps(NewScheduler(), ops)
 		if len(ref) != len(got) {
 			t.Fatalf("seed %#x: heap fired %d events, wheel fired %d", seed, len(ref), len(got))
 		}
@@ -155,7 +166,7 @@ func TestWheelDifferentialRandomOps(t *testing.T) {
 // the overflow heap and migrate block-by-block, preserving (time, seq) order
 // across block boundaries and within a same-instant burst.
 func TestWheelOverflowOrder(t *testing.T) {
-	s := NewSchedulerWith(true)
+	s := NewScheduler()
 	var order []int
 	add := func(id int, at Time) { s.At(at, func() { order = append(order, id) }) }
 	far := Time(5) << 32 // five blocks out
@@ -185,7 +196,7 @@ func TestWheelOverflowOrder(t *testing.T) {
 // the parked one, still fires first. (This is the cursor-invariant trap a
 // peek-style implementation falls into.)
 func TestWheelRunUntilThenEarlierInsert(t *testing.T) {
-	s := NewSchedulerWith(true)
+	s := NewScheduler()
 	var order []int
 	s.At(600*Second, func() { order = append(order, 600) })
 	s.RunUntil(550 * Second)
@@ -207,7 +218,7 @@ func TestWheelRunUntilThenEarlierInsert(t *testing.T) {
 // scheduled while the deadline was several levels upstairs and one scheduled
 // just before it fires, preserve global insertion order.
 func TestWheelCrossWindowFIFO(t *testing.T) {
-	s := NewSchedulerWith(true)
+	s := NewScheduler()
 	deadline := 300*Second + 41*Microsecond
 	var order []int
 	s.At(deadline, func() { order = append(order, 0) }) // far away: upper level
@@ -228,7 +239,7 @@ func TestWheelCrossWindowFIFO(t *testing.T) {
 // touches them — but they must never fire, and once dead entries outnumber
 // live ones the sweep reclaims them all at once.
 func TestWheelStopReclaim(t *testing.T) {
-	s := NewSchedulerWith(true)
+	s := NewScheduler()
 	const n = 1000
 	timers := make([]*Timer, n)
 	for i := range timers {
@@ -260,32 +271,31 @@ func TestWheelStopReclaim(t *testing.T) {
 	}
 }
 
-// TestLiveTimerAccounting: the live/peak gauges are identical across
-// backing stores (the scaling ledger DeepEquals them) and track schedule,
-// cancel, and fire.
+// TestLiveTimerAccounting: the live/peak gauges are identical on the wheel
+// and its heap oracle and track schedule, cancel, and fire.
 func TestLiveTimerAccounting(t *testing.T) {
-	for _, wheel := range []bool{false, true} {
-		s := NewSchedulerWith(wheel)
+	for _, st := range bothStores {
+		s := st.mk()
 		timers := make([]*Timer, 10)
 		for i := range timers {
 			timers[i] = s.After(Time(i+1)*Millisecond, func() {})
 		}
 		s.Post(5*Millisecond, func() {})
 		if got := s.LiveTimers(); got != 11 {
-			t.Errorf("wheel=%v: LiveTimers = %d, want 11", wheel, got)
+			t.Errorf("%s: LiveTimers = %d, want 11", st.name, got)
 		}
 		for _, tm := range timers[:3] {
 			tm.Stop()
 		}
 		if got := s.LiveTimers(); got != 8 {
-			t.Errorf("wheel=%v: LiveTimers = %d after 3 stops, want 8", wheel, got)
+			t.Errorf("%s: LiveTimers = %d after 3 stops, want 8", st.name, got)
 		}
 		s.Run(0)
 		if got := s.LiveTimers(); got != 0 {
-			t.Errorf("wheel=%v: LiveTimers = %d after drain, want 0", wheel, got)
+			t.Errorf("%s: LiveTimers = %d after drain, want 0", st.name, got)
 		}
 		if got := s.PeakLiveTimers(); got != 11 {
-			t.Errorf("wheel=%v: PeakLiveTimers = %d, want 11", wheel, got)
+			t.Errorf("%s: PeakLiveTimers = %d, want 11", st.name, got)
 		}
 	}
 }
@@ -294,43 +304,43 @@ func TestLiveTimerAccounting(t *testing.T) {
 // entry never fires, the new deadline and FIFO position follow the re-arm,
 // and Reset on a fired or stopped timer refuses and leaves it untouched.
 func TestTimerReset(t *testing.T) {
-	for _, wheel := range []bool{false, true} {
-		s := NewSchedulerWith(wheel)
+	for _, st := range bothStores {
+		s := st.mk()
 		var order []int
 		tm := s.After(10, func() { order = append(order, 0) })
 		s.Post(50, func() { order = append(order, 1) })
 		if !tm.Reset(100) {
-			t.Fatalf("wheel=%v: Reset on an active timer refused", wheel)
+			t.Fatalf("%s: Reset on an active timer refused", st.name)
 		}
 		s.RunUntil(60)
 		if len(order) != 1 || order[0] != 1 {
-			t.Fatalf("wheel=%v: old arm fired or order wrong: %v", wheel, order)
+			t.Fatalf("%s: old arm fired or order wrong: %v", st.name, order)
 		}
 		if tm.When() != 100 || !tm.Active() {
-			t.Fatalf("wheel=%v: When=%d Active=%v after Reset, want 100/true", wheel, tm.When(), tm.Active())
+			t.Fatalf("%s: When=%d Active=%v after Reset, want 100/true", st.name, tm.When(), tm.Active())
 		}
 		// Same-deadline FIFO follows the re-arm, not the original schedule.
 		s.Post(40, func() { order = append(order, 2) }) // also at t=100
 		if !tm.Reset(40) {
-			t.Fatalf("wheel=%v: second Reset refused", wheel)
+			t.Fatalf("%s: second Reset refused", st.name)
 		}
 		s.Run(0)
 		want := []int{1, 2, 0}
 		for i := range want {
 			if i >= len(order) || order[i] != want[i] {
-				t.Fatalf("wheel=%v: order = %v, want %v", wheel, order, want)
+				t.Fatalf("%s: order = %v, want %v", st.name, order, want)
 			}
 		}
 		if tm.Reset(5) {
-			t.Errorf("wheel=%v: Reset on a fired timer re-armed it", wheel)
+			t.Errorf("%s: Reset on a fired timer re-armed it", st.name)
 		}
 		stopped := s.After(10, func() { t.Error("stopped timer fired") })
 		stopped.Stop()
 		if stopped.Reset(5) {
-			t.Errorf("wheel=%v: Reset on a stopped timer re-armed it", wheel)
+			t.Errorf("%s: Reset on a stopped timer re-armed it", st.name)
 		}
 		if s.LiveTimers() != 0 {
-			t.Errorf("wheel=%v: LiveTimers = %d after drain, want 0", wheel, s.LiveTimers())
+			t.Errorf("%s: LiveTimers = %d after drain, want 0", st.name, s.LiveTimers())
 		}
 		s.Run(0)
 	}
@@ -343,17 +353,17 @@ func TestTimerReset(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 func TestStopUnpinsScheduler(t *testing.T) {
-	for _, wheel := range []bool{false, true} {
+	for _, st := range bothStores {
 		collected := make(chan struct{})
 		tm := func() *Timer {
-			s := NewSchedulerWith(wheel)
+			s := st.mk()
 			runtime.SetFinalizer(s, func(*Scheduler) { close(collected) })
 			tm := s.After(Second, benchNop)
 			tm.Stop()
 			return tm
 		}()
 		if tm.s != nil {
-			t.Fatalf("wheel=%v: Stop left the scheduler back-pointer set", wheel)
+			t.Fatalf("%s: Stop left the scheduler back-pointer set", st.name)
 		}
 		ok := false
 		for i := 0; i < 100 && !ok; i++ {
@@ -365,7 +375,7 @@ func TestStopUnpinsScheduler(t *testing.T) {
 			}
 		}
 		if !ok {
-			t.Errorf("wheel=%v: scheduler not collected while a stopped Timer handle is retained", wheel)
+			t.Errorf("%s: scheduler not collected while a stopped Timer handle is retained", st.name)
 		}
 		runtime.KeepAlive(tm)
 	}
@@ -385,35 +395,21 @@ func TestFireUnpinsScheduler(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Microbenchmarks (ISSUE 5 satellite): cancel-heavy and fire-heavy mixes,
-// heap vs wheel, on a 64k parked-timer background. cmd/pimbench -scaling
-// replays the same workloads into BENCH_scale.json.
+// Microbenchmarks: cancel-heavy and fire-heavy mixes on a parked-timer
+// background. The scaling benchmark replays the same workloads into
+// BENCH_scale.json.
 // ---------------------------------------------------------------------------
 
 func BenchmarkSchedulerChurn(b *testing.B) {
-	for _, impl := range []struct {
-		name  string
-		wheel bool
-	}{{"Heap", false}, {"Wheel", true}} {
-		b.Run(impl.name, func(b *testing.B) {
-			s := PrepSchedulerBench(impl.wheel)
-			b.ReportAllocs()
-			b.ResetTimer()
-			SchedulerChurn(s, b.N)
-		})
-	}
+	s := PrepSchedulerBench()
+	b.ReportAllocs()
+	b.ResetTimer()
+	SchedulerChurn(s, b.N)
 }
 
 func BenchmarkSchedulerDense(b *testing.B) {
-	for _, impl := range []struct {
-		name  string
-		wheel bool
-	}{{"Heap", false}, {"Wheel", true}} {
-		b.Run(impl.name, func(b *testing.B) {
-			s := PrepSchedulerBench(impl.wheel)
-			b.ReportAllocs()
-			b.ResetTimer()
-			SchedulerDense(s, b.N)
-		})
-	}
+	s := PrepSchedulerBench()
+	b.ReportAllocs()
+	b.ResetTimer()
+	SchedulerDense(s, b.N)
 }

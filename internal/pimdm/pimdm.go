@@ -635,7 +635,7 @@ func (r *Router) schedulePrune(e *mfib.Entry, in *netsim.Iface, g addr.IP) {
 		o.PruneDeadline = r.now() + r.Cfg.PruneOverrideDelay
 		e.Touch()
 		// Re-look the entry up at fire time: entry/oif pointers must not be
-		// held across the delay (the flat store recycles slots), and a join
+		// held across the delay (the entry may be re-created), and a join
 		// override in the window clears PrunePending, cancelling the prune.
 		life := e.Life()
 		r.after(r.Cfg.PruneOverrideDelay, func() {

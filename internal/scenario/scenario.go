@@ -60,7 +60,7 @@ type Sim struct {
 	// hangs off (hosts and LAN anchors map to their router), so sharding can
 	// place entire stub LANs with their router.
 	owner map[*netsim.Node]int
-	// shardAsn is the topology partition in effect after AutoShard, indexed
+	// shardAsn is the topology partition in effect after AutoShardN, indexed
 	// by graph vertex; nil while unsharded.
 	shardAsn []int
 }
@@ -135,11 +135,6 @@ func (s *Sim) placeWithRouter(nd *netsim.Node, r int) {
 		s.Net.SetNodeShard(nd, s.shardAsn[r])
 	}
 }
-
-// AutoShard partitions the topology over the configured shard count
-// (netsim.Shards()) and switches the network to sharded execution. See
-// AutoShardN for constraints.
-func (s *Sim) AutoShard() { s.AutoShardN(netsim.Shards()) }
 
 // AutoShardN partitions the topology into k shards (topology.Partition:
 // greedy min-cut preferring high-delay links as boundaries) and switches the

@@ -1,10 +1,8 @@
 // Corpus discovery: every scenario under a root directory is a
 // self-verifying document. Each file embeds its golden digest after a
-// `-- golden --` marker (see Parse), and Corpus re-runs every file across
-// the differential matrix — forwarding reference vs fast path, binary heap
-// vs timing wheel, shards 1 vs 2, flat vs map MFIB store — requiring the
-// scripted expectations, the
-// §3.8 invariants, and the embedded digest to hold in every cell. One drift
+// `-- golden --` marker (see Parse), and Corpus re-runs every file
+// sequentially and on two shards, requiring the scripted expectations, the
+// §3.8 invariants, and the embedded digest to hold in both cells. One drift
 // anywhere (a changed delivery count, a new telemetry event, a reordered
 // stream) fails the corpus with a pointer to `pimscript -update`.
 package script
@@ -19,60 +17,36 @@ import (
 	"sort"
 	"strings"
 
-	"pim/internal/fastpath"
-	"pim/internal/mfib"
-	"pim/internal/netsim"
 	"pim/internal/telemetry"
 )
 
-// Pass is one cell of the corpus differential matrix.
+// Pass is one cell of the corpus matrix.
 type Pass struct {
 	Name string
-	// Fast selects the forwarding fast path (LPM trie, RPF cache, compiled
-	// fan-out) over the linear reference implementations.
-	Fast bool
-	// Wheel selects the hierarchical timing wheel over the binary heap.
-	Wheel bool
 	// Shards is the partition count the run executes under.
 	Shards int
-	// MapStore selects the reference map-of-pointers MFIB store over the
-	// default flat arena store (DESIGN.md §16).
-	MapStore bool
 }
 
-// Matrix is the corpus verification matrix: the default configuration plus
-// one pass flipping each axis, so every scenario witnesses ref==fast,
-// heap==wheel, sequential==sharded, and flat==map store equivalence on
-// every run.
+// Matrix is the corpus verification matrix: the sequential run and a
+// two-shard run, so every scenario witnesses sequential==sharded
+// equivalence on every run.
 func Matrix() []Pass {
 	return []Pass{
-		{Name: "fast+wheel+shards=1", Fast: true, Wheel: true, Shards: 1},
-		{Name: "ref+wheel+shards=1", Fast: false, Wheel: true, Shards: 1},
-		{Name: "fast+heap+shards=1", Fast: true, Wheel: false, Shards: 1},
-		{Name: "fast+wheel+shards=2", Fast: true, Wheel: true, Shards: 2},
-		{Name: "fast+wheel+shards=1+mapstore", Fast: true, Wheel: true, Shards: 1, MapStore: true},
+		{Name: "shards=1", Shards: 1},
+		{Name: "shards=2", Shards: 2},
 	}
 }
 
-// runPass executes the scenario captured and checked under one matrix cell,
-// restoring the process-wide toggles afterwards.
+// runPass executes the scenario captured and checked under one matrix cell.
 func runPass(s *Script, p Pass) (*Result, error) {
-	prevFast := fastpath.Set(p.Fast)
-	defer fastpath.Set(prevFast)
-	prevWheel := netsim.SetUseWheel(p.Wheel)
-	defer netsim.SetUseWheel(prevWheel)
-	prevShards := netsim.SetShards(p.Shards)
-	defer netsim.SetShards(prevShards)
-	prevStore := mfib.SetFlatStore(!p.MapStore)
-	defer mfib.SetFlatStore(prevStore)
-	return s.RunWith(RunConfig{Captured: true, Checked: true})
+	return s.RunWith(RunConfig{Shards: p.Shards, Captured: true, Checked: true})
 }
 
 // DigestLines renders a run's golden digest: the delivery counts, the
 // per-kind telemetry event counts, and an FNV-64a hash of the canonical
 // captured stream. Every line is a stable function of the simulation —
-// independent of forwarding path, scheduler store, and shard count — so the
-// digest doubles as the corpus equivalence witness.
+// independent of shard count — so the digest doubles as the corpus
+// equivalence witness.
 func DigestLines(res *Result) []string {
 	var lines []string
 	keys := make([]string, 0, len(res.Delivered))

@@ -163,14 +163,13 @@ expect recv received G0 >= 1000
 	}
 }
 
-// TestCorpusMatrix runs the whole committed corpus through the full
-// differential matrix — the same verification `pimscript -corpus scenarios`
-// and `make corpus` perform. Every scenario must pass its expectations,
-// keep the §3.8 invariants, and reproduce its embedded digest under
-// ref/fast, heap/wheel, and shards 1/2.
+// TestCorpusMatrix runs the whole committed corpus through the matrix —
+// the same verification `pimscript -corpus scenarios` and `make corpus`
+// perform. Every scenario must pass its expectations, keep the §3.8
+// invariants, and reproduce its embedded digest under shards 1 and 2.
 func TestCorpusMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 4-pass corpus matrix; run without -short")
+		t.Skip("full corpus matrix; run without -short")
 	}
 	n, err := Corpus("../../scenarios", t.Logf)
 	if err != nil {

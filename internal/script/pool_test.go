@@ -8,12 +8,10 @@ import (
 	"pim/internal/telemetry"
 )
 
-// runScenario executes one scenario under the given frame-pool/poison
-// settings and returns its telemetry stream and result.
-func runScenario(t *testing.T, path string, pooled, poison bool) ([]telemetry.Event, *Result) {
+// runScenario executes one scenario, with released frames poisoned or not,
+// and returns its telemetry stream and result.
+func runScenario(t *testing.T, path string, poison bool) ([]telemetry.Event, *Result) {
 	t.Helper()
-	prevPool := netsim.SetFramePool(pooled)
-	defer netsim.SetFramePool(prevPool)
 	prevPoison := netsim.SetPoisonFrames(poison)
 	defer netsim.SetPoisonFrames(prevPoison)
 	s, err := ParseFile(path)
@@ -25,64 +23,16 @@ func runScenario(t *testing.T, path string, pooled, poison bool) ([]telemetry.Ev
 	bus.Subscribe(func(ev telemetry.Event) { events = append(events, ev) })
 	res, err := s.RunWith(RunConfig{Bus: bus})
 	if err != nil {
-		t.Fatalf("run (pool=%v poison=%v): %v", pooled, poison, err)
+		t.Fatalf("run (poison=%v): %v", poison, err)
 	}
 	return events, res
-}
-
-// TestScenariosFramePoolEquivalence holds pooled frame delivery to the
-// allocating closure path (the differential oracle): every scenario must
-// produce a bit-identical telemetry event stream and identical scripted
-// outcomes either way.
-func TestScenariosFramePoolEquivalence(t *testing.T) {
-	paths, err := filepath.Glob("../../scenarios/*.pim")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no scenario scripts found: %v", err)
-	}
-	for _, path := range paths {
-		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			allocEvents, allocRes := runScenario(t, path, false, false)
-			poolEvents, poolRes := runScenario(t, path, true, false)
-
-			if len(allocEvents) == 0 && len(poolEvents) == 0 {
-				total := 0
-				for _, n := range allocRes.Delivered {
-					total += n
-				}
-				if total == 0 {
-					t.Fatal("no telemetry events and no deliveries; equivalence check is vacuous")
-				}
-			}
-			if len(allocEvents) != len(poolEvents) {
-				t.Fatalf("event streams differ in length: alloc=%d pooled=%d",
-					len(allocEvents), len(poolEvents))
-			}
-			for i := range allocEvents {
-				if allocEvents[i] != poolEvents[i] {
-					t.Fatalf("event %d diverged:\nalloc  = %+v\npooled = %+v",
-						i, allocEvents[i], poolEvents[i])
-				}
-			}
-			if len(allocRes.Failures) != len(poolRes.Failures) {
-				t.Errorf("expectation outcomes differ: alloc=%v pooled=%v",
-					allocRes.Failures, poolRes.Failures)
-			}
-			for host, n := range allocRes.Delivered {
-				if poolRes.Delivered[host] != n {
-					t.Errorf("host %s delivered %d allocating, %d pooled",
-						host, n, poolRes.Delivered[host])
-				}
-			}
-		})
-	}
 }
 
 // TestScenariosPoisonedPool enforces the borrowed-frame ownership contract
 // (DESIGN.md §13) over the whole scenario corpus: with released frames
 // poisoned to 0xDB, any handler that retained a borrowed packet, payload, or
 // decoded alias past its HandlePacket call reads garbage — and the telemetry
-// stream diverges from the clean allocating run. Matching streams mean no
+// stream diverges from the clean run. Matching streams mean no
 // protocol engine reads a frame after its fan-out completed.
 func TestScenariosPoisonedPool(t *testing.T) {
 	paths, err := filepath.Glob("../../scenarios/*.pim")
@@ -92,8 +42,8 @@ func TestScenariosPoisonedPool(t *testing.T) {
 	for _, path := range paths {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
-			cleanEvents, cleanRes := runScenario(t, path, false, false)
-			poisonEvents, poisonRes := runScenario(t, path, true, true)
+			cleanEvents, cleanRes := runScenario(t, path, false)
+			poisonEvents, poisonRes := runScenario(t, path, true)
 
 			if len(cleanEvents) != len(poisonEvents) {
 				t.Fatalf("event streams differ in length: clean=%d poisoned=%d",

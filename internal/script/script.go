@@ -246,7 +246,9 @@ type runner struct {
 	checked  bool
 	failFast bool
 	bus      *telemetry.Bus
-	checker  *telemetry.Checker
+	// shards is the requested partition count (RunConfig.Shards).
+	shards  int
+	checker *telemetry.Checker
 	// fastTimers records protocol ... timers=fast, so deployOpts can shrink
 	// the IGMP clocks alongside the engine's.
 	fastTimers bool
@@ -277,8 +279,12 @@ func (r *runner) injector() *faults.Injector {
 }
 
 // RunConfig selects the script execution mode; the zero value is the plain
-// sequential-or-sharded run with no observation attached.
+// sequential run with no observation attached.
 type RunConfig struct {
+	// Shards is the partition count the simulation executes under (0 or 1
+	// = sequential). Runs whose observers share one bus, and protocols
+	// that cannot shard, ignore it (see RunWith).
+	Shards int
 	// Checked attaches a telemetry bus and the online §3.8 invariant
 	// checker (forced on when the script declares `expect violations`).
 	Checked bool
@@ -304,8 +310,8 @@ type RunConfig struct {
 // captured canonical stream — into the Result. The zero RunConfig is the
 // plain run.
 //
-// Sharding: unchecked and captured runs execute under the configured shard
-// count (netsim.Shards()); a captured checked run attaches one checker per
+// Sharding: unchecked and captured runs execute under cfg.Shards; a
+// captured checked run attaches one checker per
 // lane (read Result.Violations). Runs with an external Bus, checked
 // uncaptured runs, and FailFast runs pin to sequential execution — their
 // consumers share one bus, which parallel shards would race on.
@@ -319,6 +325,7 @@ func (s *Script) RunWith(cfg RunConfig) (*Result, error) {
 		cfg.Checked = true
 	}
 	r := &runner{
+		shards:    cfg.Shards,
 		checked:   cfg.Checked,
 		failFast:  cfg.FailFast,
 		bus:       cfg.Bus,
@@ -646,7 +653,7 @@ func (r *runner) deploy(st stmt) error {
 	// Domain), as does the mixed sparse/dense interop form.
 	if r.bus == nil && (!r.checked || r.captured) && !r.failFast &&
 		st.args[0] != "mospf" && st.kv["dense"] == "" {
-		r.sim.AutoShard()
+		r.sim.AutoShardN(r.shards)
 	}
 	if r.captured {
 		nlanes := r.sim.Net.ShardCount()

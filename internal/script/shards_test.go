@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"pim/internal/netsim"
 	"pim/internal/telemetry"
 )
 
@@ -29,13 +28,11 @@ func TestScenariosShardEquivalence(t *testing.T) {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			capture := func(shards int) ([]telemetry.Event, *Result) {
-				prev := netsim.SetShards(shards)
-				defer netsim.SetShards(prev)
 				s, err := ParseFile(path)
 				if err != nil {
 					t.Fatalf("parse: %v", err)
 				}
-				res, err := s.RunWith(RunConfig{Captured: true})
+				res, err := s.RunWith(RunConfig{Shards: shards, Captured: true})
 				if err != nil {
 					t.Fatalf("run (shards=%d): %v", shards, err)
 				}

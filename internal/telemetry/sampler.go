@@ -43,7 +43,7 @@ type samplerLane struct {
 	liveEntries   int64
 	liveEntryPeak int64
 	// stateBytes, when attached, reads the shard's MFIB memory footprint
-	// (the flat store's Bytes estimator); sampled like gauge, peak reported.
+	// (the MFIB's Bytes estimator); sampled like gauge, peak reported.
 	stateBytes     func() int64
 	stateBytesPeak int64
 }
@@ -89,8 +89,8 @@ type Dump struct {
 	IntervalSec float64       `json:"interval_sec"`
 	Routers     []RouterCurve `json:"routers"`
 	// LiveTimerPeak is the highest live-timer gauge reading observed across
-	// the run — total armed timers in the scheduler, the backing store's
-	// population pressure. Sharded runs report the sum of per-lane peaks.
+	// the run — total armed timers in the scheduler, the queue's population
+	// pressure. Sharded runs report the sum of per-lane peaks.
 	// Zero (and omitted) when no gauge was attached.
 	LiveTimerPeak int64 `json:"live_timer_peak,omitempty"`
 	// LiveEntryPeak is the highest simultaneously-installed multicast state

@@ -234,9 +234,17 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	return nil
 }
 
+// MaxEdgeListNode bounds the node indexes ParseEdgeList accepts. The node
+// count is derived from the largest index, so an unbounded index would let
+// one short line demand an arbitrarily large adjacency table (or overflow
+// the count); a million routers is two orders of magnitude beyond the
+// largest internet the experiments build.
+const MaxEdgeListNode = 1<<20 - 1
+
 // ParseEdgeList reads the edge-list form back: lines of "a b delay" (delay
 // optional, default 1), '#' comments and blank lines ignored. The node
-// count is 1 + the largest node index seen.
+// count is 1 + the largest node index seen; indexes above MaxEdgeListNode
+// are rejected.
 func ParseEdgeList(r io.Reader) (*Graph, error) {
 	type edge struct {
 		a, b int
@@ -271,7 +279,7 @@ func ParseEdgeList(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("topology: line %d: bad delay %q", line, fields[2])
 			}
 		}
-		if a < 0 || b < 0 || a == b {
+		if a < 0 || b < 0 || a == b || a > MaxEdgeListNode || b > MaxEdgeListNode {
 			return nil, fmt.Errorf("topology: line %d: invalid edge %d-%d", line, a, b)
 		}
 		edges = append(edges, edge{a, b, d})

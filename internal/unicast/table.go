@@ -21,7 +21,6 @@ import (
 	"sort"
 
 	"pim/internal/addr"
-	"pim/internal/fastpath"
 	"pim/internal/netsim"
 )
 
@@ -57,7 +56,7 @@ type tableEntry struct {
 }
 
 // comparePrefix orders prefixes by descending length, then address — the
-// table order: the scan order that makes the linear reference lookup a
+// table order: the scan order in which the first containing prefix is the
 // longest-prefix match.
 func comparePrefix(a, b addr.Prefix) int {
 	if a.Len != b.Len {
@@ -71,8 +70,8 @@ func entryLess(a, b tableEntry) bool { return comparePrefix(a.prefix, b.prefix) 
 
 // Table is a longest-prefix-match routing table. It is the concrete store
 // shared by all three Router implementations. The sorted entry slice is the
-// authoritative store (and the reference lookup path); the multibit trie is
-// the fast path derived from it (see trie.go).
+// authoritative store; lookups are answered from the multibit trie derived
+// from it (see trie.go).
 type Table struct {
 	entries   []tableEntry // sorted by descending prefix length, then address
 	listeners []func()
@@ -135,29 +134,13 @@ func (t *Table) Get(p addr.Prefix) (Route, bool) {
 	return Route{}, false
 }
 
-// Lookup performs longest-prefix matching. The fast path answers from the
-// multibit trie (allocation-free once warm); the reference path is the
-// original linear scan, kept both as the differential-testing oracle and as
-// the behaviour benchmarked against in BENCH_dataplane.json.
+// Lookup performs longest-prefix matching from the multibit trie
+// (allocation-free once warm).
 func (t *Table) Lookup(dst addr.IP) (Route, bool) {
-	if !fastpath.Enabled() {
-		return t.lookupLinear(dst)
-	}
 	if t.trie.dirty || t.trie.root == nil {
 		t.trie.rebuild(t.entries)
 	}
 	return t.trie.lookup(dst)
-}
-
-// lookupLinear is the reference longest-prefix match: first containing
-// prefix in (length desc, address asc) order whose route is reachable.
-func (t *Table) lookupLinear(dst addr.IP) (Route, bool) {
-	for i := range t.entries {
-		if t.entries[i].prefix.Contains(dst) && t.entries[i].route.Metric < InfMetric {
-			return t.entries[i].route, true
-		}
-	}
-	return Route{}, false
 }
 
 // Len returns the number of installed prefixes.

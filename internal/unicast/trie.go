@@ -20,9 +20,9 @@ import "pim/internal/addr"
 // rewrite (every table, after one link change under the oracle) allocates
 // nothing once the trie has reached its size.
 //
-// Routes with InfMetric never enter the trie, mirroring the reference
-// scan's "unreachable routes do not shadow shorter reachable prefixes"
-// behaviour (see Table.lookupLinear).
+// Routes with InfMetric never enter the trie: unreachable routes do not
+// shadow shorter reachable prefixes (the linear scan in lpm_test.go pins
+// this).
 type lpmTrie struct {
 	root  *trieNode
 	dirty bool

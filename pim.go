@@ -385,151 +385,6 @@ func DefaultChurnConfig() ChurnConfig { return experiments.DefaultChurn() }
 // RunChurn measures the control cost of membership dynamics.
 func RunChurn(cfg ChurnConfig) ChurnResult { return experiments.RunChurn(cfg) }
 
-// RunChurnTrials repeats the churn experiment over independent topologies
-// with per-trial derived seeds, fanned across cfg.Workers workers.
-func RunChurnTrials(cfg ChurnConfig, trials int) []ChurnResult {
-	return experiments.RunChurnTrials(cfg, trials)
-}
-
-// Data-plane fast-path benchmark (trie LPM, generation-stamped RPF cache,
-// compiled MFIB fan-out — see DESIGN.md "Forwarding fast path").
-type (
-	// DataplaneConfig parameterizes the N-hop forwarding benchmark.
-	DataplaneConfig = experiments.DataplaneConfig
-	// DataplaneResult compares reference and fast paths per phase.
-	DataplaneResult = experiments.DataplaneResult
-	// DataplanePhase is one phase's before/after measurement.
-	DataplanePhase = experiments.DataplanePhase
-)
-
-// DefaultDataplaneConfig returns the ledger workload for the data-plane
-// benchmark.
-func DefaultDataplaneConfig() DataplaneConfig { return experiments.DefaultDataplane() }
-
-// RunDataplane times steady-state forwarding over the reference path and the
-// fast path on identical workloads, verifying the delivery traces are bit
-// identical.
-func RunDataplane(cfg DataplaneConfig) DataplaneResult { return experiments.RunDataplane(cfg) }
-
-// Fault-recovery experiment (router crash/restart, lossy links, soft-state
-// convergence — see DESIGN.md "Fault plane").
-type (
-	// RecoveryConfig parameterizes the fault-recovery matrix.
-	RecoveryConfig = experiments.RecoveryConfig
-	// RecoveryResult is the full protocol × fault matrix outcome.
-	RecoveryResult = experiments.RecoveryResult
-	// RecoveryCell is one (protocol, fault) cell.
-	RecoveryCell = experiments.RecoveryCell
-)
-
-// DefaultRecoveryConfig returns the ledger workload for the fault-recovery
-// matrix.
-func DefaultRecoveryConfig() RecoveryConfig { return experiments.DefaultRecovery() }
-
-// Recovery fault kinds (the matrix columns).
-const (
-	FaultLoss0  = experiments.FaultLoss0
-	FaultLoss5  = experiments.FaultLoss5
-	FaultLoss20 = experiments.FaultLoss20
-	FaultFlap   = experiments.FaultFlap
-	FaultCrash  = experiments.FaultCrash
-)
-
-// RunRecovery drives every protocol through the fault matrix (control-plane
-// loss, link flap, router crash/restart) and measures recovery time, control
-// overhead, and residual state, verifying reference and fast-path delivery
-// traces are bit identical in every cell.
-func RunRecovery(cfg RecoveryConfig) RecoveryResult { return experiments.RunRecovery(cfg) }
-
-// RecoveryTelemetry runs one recovery cell (protocol × fault) with a
-// time-series sampler attached to the deployment's event bus and returns the
-// sampler; dump its per-router counter curves with WriteJSON (the
-// cmd/pimbench -telemetry output).
-func RecoveryTelemetry(cfg RecoveryConfig, p Protocol, fault string, interval Time) *TelemetrySampler {
-	return experiments.RecoveryTelemetry(cfg, p, fault, interval)
-}
-
-// Scheduler scaling benchmark (hierarchical timing wheel vs reference binary
-// heap — see DESIGN.md "Timer subsystem").
-type (
-	// ScalingBenchConfig names the ledgered scaling sweeps.
-	ScalingBenchConfig = experiments.ScalingBenchConfig
-	// ScalingBenchResult aggregates the timed sweeps.
-	ScalingBenchResult = experiments.ScalingBenchResult
-	// ScalingSweep is one timed sweep within the benchmark.
-	ScalingSweep = experiments.ScalingSweep
-)
-
-// DefaultScalingBenchConfig returns the ledger workload (internets up to
-// 1000 routers, every protocol); SmokeScalingBenchConfig the CI-sized one.
-func DefaultScalingBenchConfig() ScalingBenchConfig { return experiments.DefaultScalingBench() }
-
-// SmokeScalingBenchConfig returns the make scale-smoke workload.
-func SmokeScalingBenchConfig() ScalingBenchConfig { return experiments.SmokeScalingBench() }
-
-// TenKScalingBenchConfig returns the 10 000-router headline workload: one
-// size-sweep cell per sparse protocol, ledgered with the shard count.
-func TenKScalingBenchConfig() ScalingBenchConfig { return experiments.TenKScalingBench() }
-
-// RunScalingBench runs the size/group/sender sweeps under wall-clock timing
-// on the currently selected scheduler backing store.
-func RunScalingBench(cfg ScalingBenchConfig) ScalingBenchResult {
-	return experiments.RunScalingBench(cfg)
-}
-
-// SameScalingGrids reports whether two benchmark runs produced bit-identical
-// simulated grids (the heap-vs-wheel ledger gate).
-func SameScalingGrids(a, b ScalingBenchResult) bool { return experiments.SameGrids(a, b) }
-
-// SameScalingGridsSharded is the ledger gate for multi-shard runs: grids
-// must be bit-identical except the peak live-timer readings, which a
-// sharded run reports as a sum of per-shard peaks (see DESIGN.md §12).
-// Event counts are NOT masked.
-func SameScalingGridsSharded(a, b ScalingBenchResult) bool {
-	return experiments.SameGridsSharded(a, b)
-}
-
-// Scheduler is the deterministic discrete-event scheduler simulations run
-// on (see DESIGN.md "Timer subsystem" for the backing stores).
-type Scheduler = netsim.Scheduler
-
-// PrepSchedulerBench returns a scheduler on the requested backing store
-// preloaded with the benchmark's parked soft-state timer population;
-// SchedulerChurn and SchedulerDense are the deterministic workloads
-// cmd/pimbench replays via testing.Benchmark for the BENCH_scale.json
-// microbenchmark columns.
-func PrepSchedulerBench(wheel bool) *Scheduler { return netsim.PrepSchedulerBench(wheel) }
-
-// SchedulerChurn runs n cancel-heavy soft-state refresh rounds.
-func SchedulerChurn(s *Scheduler, n int) { netsim.SchedulerChurn(s, n) }
-
-// SchedulerDense runs n fire-heavy data-pump rounds.
-func SchedulerDense(s *Scheduler, n int) { netsim.SchedulerDense(s, n) }
-
-// UseWheel reports whether new simulations schedule on the hierarchical
-// timing wheel (the default) rather than the reference binary heap;
-// SetUseWheel flips the process-global selection and returns the previous
-// setting. The two backing stores are observationally identical — every
-// event fires at the same simulated time in the same order — so the switch
-// only changes host-side cost.
-func UseWheel() bool { return netsim.UseWheel() }
-
-// SetUseWheel selects the scheduler backing store for subsequently built
-// simulations and returns the previous setting.
-func SetUseWheel(on bool) bool { return netsim.SetUseWheel(on) }
-
-// Shards returns the process-global default shard count for subsequently
-// built simulations (1 = sequential); SetShards changes it and returns the
-// previous setting. A sharded simulation partitions the topology into
-// disjoint shards executed concurrently under conservative lookahead
-// (DESIGN.md §12); results are bit-identical to the sequential path for
-// any shard count.
-func Shards() int { return netsim.Shards() }
-
-// SetShards sets the default shard count for subsequently built simulations
-// and returns the previous setting (values below 1 clamp to 1).
-func SetShards(n int) int { return netsim.SetShards(n) }
-
 // ParseTopology reads a cmd/topogen edge-list file.
 func ParseTopology(r io.Reader) (*Topology, error) { return topology.ParseEdgeList(r) }
 
@@ -537,42 +392,3 @@ func ParseTopology(r io.Reader) (*Topology, error) { return topology.ParseEdgeLi
 func RunSparseOverheadOn(g *Topology, cfg SparseConfig, p Protocol) OverheadResult {
 	return experiments.RunSparseOn(g, cfg, p)
 }
-
-// Steady-state control-plane churn benchmark (pooled vs allocating frame
-// paths — see DESIGN.md §13 "Buffer ownership").
-type (
-	// CtrlPlaneConfig parameterizes the steady-state refresh benchmark.
-	CtrlPlaneConfig = experiments.CtrlPlaneConfig
-	// CtrlPlaneResult aggregates per-protocol pooled/allocating pairs.
-	CtrlPlaneResult = experiments.CtrlPlaneResult
-	// CtrlPlanePair is one protocol's allocating-oracle/pooled measurement.
-	CtrlPlanePair = experiments.CtrlPlanePair
-	// CtrlPlaneCell is one (protocol, frame-path) measurement.
-	CtrlPlaneCell = experiments.CtrlPlaneCell
-)
-
-// DefaultCtrlPlaneConfig returns the ledger workload (1000 routers, every
-// protocol, ten simulated minutes of pure refresh).
-func DefaultCtrlPlaneConfig() CtrlPlaneConfig { return experiments.DefaultCtrlPlane() }
-
-// SmokeCtrlPlaneConfig returns the make ctrl-smoke workload.
-func SmokeCtrlPlaneConfig() CtrlPlaneConfig { return experiments.SmokeCtrlPlane() }
-
-// RunCtrlPlane measures the steady-state control plane under both frame
-// paths and gates on bit-identical simulated observables.
-func RunCtrlPlane(cfg CtrlPlaneConfig) CtrlPlaneResult { return experiments.RunCtrlPlane(cfg) }
-
-// UseFramePool reports whether netsim transmit frames come from the
-// per-scheduler free list; SetFramePool toggles it and returns the previous
-// setting. Simulation results are bit-identical either way — the allocating
-// path is kept as a differential oracle.
-func UseFramePool() bool { return netsim.UseFramePool() }
-
-// SetFramePool selects the pooled (true) or allocating (false) frame path
-// and returns the previous setting.
-func SetFramePool(on bool) bool { return netsim.SetFramePool(on) }
-
-// SetPoisonFrames makes the frame pool scribble a poison byte over every
-// released buffer, so any handler that illegally retains a borrowed frame
-// fails loudly. Debug aid; returns the previous setting.
-func SetPoisonFrames(on bool) bool { return netsim.SetPoisonFrames(on) }
