@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt build vet test race corpus update-goldens bench-smoke profile bench fig2-ledger dataplane-ledger recovery-ledger scale-ledger tenk-ledger ctrlplane-ledger faultsearch-ledger
+.PHONY: check fmt build vet e2ebench-check test race corpus update-goldens bench-smoke profile bench fig2-ledger dataplane-ledger recovery-ledger scale-ledger tenk-ledger ctrlplane-ledger faultsearch-ledger
 
-# check is the full gate: gofmt-clean sources, vet, build, race-enabled tests,
-# the self-verifying scenario corpus (sequential and sharded), and the
-# benchmark smoke pass (every registered benchmark plus the poison and
-# allocation pins).
-check: fmt vet build race corpus bench-smoke
+# check is the full gate: gofmt-clean sources, vet, build, the benchmark
+# module's vet and tests, race-enabled tests, the self-verifying
+# scenario corpus (sequential and sharded), and the benchmark smoke pass
+# (every registered benchmark plus the poison and allocation pins).
+check: fmt vet build e2ebench-check race corpus bench-smoke
 
 # fmt fails listing any Go file gofmt would rewrite.
 fmt:
@@ -17,6 +17,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# e2ebench-check vets (which type-checks) and tests the end-to-end benchmark,
+# a separate module (pim/e2ebench) that the root `go build ./...` does not
+# see: without it a change to the scenario types the benchmark imports could
+# break it silently.
+e2ebench-check:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"pim/internal/addr"
+	"pim/internal/engine"
 	"pim/internal/metrics"
 	"pim/internal/netsim"
 	"pim/internal/packet"
@@ -28,9 +29,6 @@ type Config struct {
 	// child's JoinRetry this makes the handshake survive loss in either
 	// direction.
 	AckRetry netsim.Time
-	// Telemetry, when non-nil, receives the router's event stream. Nil keeps
-	// every emit site a single predictable branch (zero-cost disabled).
-	Telemetry *telemetry.Bus
 }
 
 // Defaults.
@@ -69,8 +67,9 @@ type Router struct {
 	Unicast unicast.Router
 	Metrics *metrics.Counters
 
-	// tel is the telemetry sink (nil when disabled).
-	tel *telemetry.Bus
+	// Lifecycle carries the start/stop state, the epoch guard on every
+	// timer, and the telemetry bus (see internal/engine).
+	engine.Lifecycle
 
 	// rpfc memoizes lookups toward cores (off-tree senders resolve the
 	// core per data packet), invalidated by unicast table generation.
@@ -86,12 +85,6 @@ type Router struct {
 	// core.Router.enc): safe because Node.Send copies the payload into its
 	// transmit frame before returning.
 	enc packet.Scratch
-
-	started bool
-	// epoch invalidates scheduled closures across Stop/Restart (see
-	// core.Router): timer bodies fire only under the epoch they were
-	// scheduled in.
-	epoch uint64
 }
 
 // ackKey identifies one downstream child awaiting ack confirmation.
@@ -123,7 +116,7 @@ func New(nd *netsim.Node, cfg Config, uni unicast.Router) *Router {
 	}
 	return &Router{
 		Node: nd, Cfg: cfg, Unicast: uni,
-		tel:         cfg.Telemetry,
+		Lifecycle:   engine.New(nd),
 		rpfc:        rpf.New(uni),
 		Metrics:     metrics.New(),
 		groups:      map[addr.IP]*groupState{},
@@ -133,24 +126,17 @@ func New(nd *netsim.Node, cfg Config, uni unicast.Router) *Router {
 
 // Start registers handlers and begins keepalives.
 func (r *Router) Start() {
-	if r.started {
+	if !r.Begin(len(r.groups)) {
 		return
-	}
-	r.started = true
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EpochStart, Router: r.Node.ID,
-			Iface: -1, Epoch: r.epoch, Value: int64(len(r.groups)),
-		})
 	}
 	r.Node.Handle(packet.ProtoCBT, netsim.HandlerFunc(r.handleCtrl))
 	r.Node.Handle(packet.ProtoUDP, netsim.HandlerFunc(r.handleData))
 	var echo func()
 	echo = func() {
 		r.keepalive()
-		r.after(r.Cfg.EchoInterval, echo)
+		r.After(r.Cfg.EchoInterval, echo)
 	}
-	r.after(0, echo)
+	r.After(0, echo)
 }
 
 // Stop detaches the router and discards all soft state: every group's tree
@@ -159,17 +145,9 @@ func (r *Router) Start() {
 // loss through silence — the parent stops answering echoes and children
 // eventually flush.
 func (r *Router) Stop() {
-	if !r.started {
+	if !r.End(0) {
 		return
 	}
-	r.started = false
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EpochEnd, Router: r.Node.ID,
-			Iface: -1, Epoch: r.epoch,
-		})
-	}
-	r.epoch++
 	r.Node.Handle(packet.ProtoCBT, nil)
 	r.Node.Handle(packet.ProtoUDP, nil)
 	for _, st := range r.groups {
@@ -192,25 +170,6 @@ func (r *Router) Restart() {
 	r.Start()
 }
 
-// after schedules fn under the current epoch: a Stop/Restart before the
-// timer fires makes the closure a no-op.
-func (r *Router) after(d netsim.Time, fn func()) *netsim.Timer {
-	ep := r.epoch
-	return r.Node.Sched().After(d, func() {
-		if r.epoch == ep {
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: r.now(), Kind: telemetry.TimerFire, Router: r.Node.ID,
-					Iface: -1, Epoch: ep,
-				})
-			}
-			fn()
-		}
-	})
-}
-
-func (r *Router) now() netsim.Time { return r.Node.Sched().Now() }
-
 // StateCount returns the number of per-group tree entries — CBT's state
 // axis (one entry per group regardless of source count).
 func (r *Router) StateCount() int { return len(r.groups) }
@@ -231,10 +190,9 @@ func (r *Router) state(g addr.IP) *groupState {
 			pending:   map[int]map[addr.IP]bool{},
 		}
 		r.groups[g] = st
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.EntryCreate, Router: r.Node.ID,
-				Iface: -1, Epoch: r.epoch, Group: g, Value: telemetry.EntryWC,
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{
+				Kind: telemetry.EntryCreate, Iface: -1, Group: g, Value: telemetry.EntryWC,
 			})
 		}
 	}
@@ -246,10 +204,9 @@ func (r *Router) dropState(g addr.IP) {
 	if _, ok := r.groups[g]; !ok {
 		return
 	}
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EntryExpire, Router: r.Node.ID,
-			Iface: -1, Epoch: r.epoch, Group: g, Value: telemetry.EntryWC,
+	if r.Telemetry() != nil {
+		r.Emit(telemetry.Event{
+			Kind: telemetry.EntryExpire, Iface: -1, Group: g, Value: telemetry.EntryWC,
 		})
 	}
 	delete(r.groups, g)
@@ -291,11 +248,8 @@ func (r *Router) maybeQuit(g addr.IP, st *groupState) {
 	}
 	if st.onTree && st.parentAddr != 0 && st.parentIf != nil && st.parentIf.Up() {
 		r.sendTo(st.parentIf, st.parentAddr, &Message{Type: TypeQuit, Group: g})
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.PruneSend, Router: r.Node.ID,
-				Iface: st.parentIf.Index, Epoch: r.epoch, Group: g,
-			})
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{Kind: telemetry.PruneSend, Iface: st.parentIf.Index, Group: g})
 		}
 	}
 	if st.joinTimer != nil {
@@ -317,10 +271,9 @@ func (r *Router) sendJoinReq(g addr.IP, st *groupState) {
 		st.parentIf, st.parentAddr = rt.Iface, nextHop
 		r.sendTo(rt.Iface, nextHop, &Message{Type: TypeJoinReq, Group: g, Core: st.core})
 		r.Metrics.Inc(metrics.CtrlCBTJoin)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.JoinPruneSend, Router: r.Node.ID,
-				Iface: rt.Iface.Index, Epoch: r.epoch, Group: g, Value: 1,
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{
+				Kind: telemetry.JoinPruneSend, Iface: rt.Iface.Index, Group: g, Value: 1,
 			})
 		}
 	}
@@ -329,7 +282,7 @@ func (r *Router) sendJoinReq(g addr.IP, st *groupState) {
 	if st.joinTimer != nil {
 		st.joinTimer.Stop()
 	}
-	st.joinTimer = r.after(r.Cfg.JoinRetry, func() {
+	st.joinTimer = r.After(r.Cfg.JoinRetry, func() {
 		if cur := r.groups[g]; cur == st && !st.onTree {
 			r.sendJoinReq(g, st) // explicit reliability: retransmit until acked
 		}
@@ -367,7 +320,7 @@ func (r *Router) handleCtrl(in *netsim.Iface, pkt *packet.Packet) {
 		}
 	case TypeEchoReply:
 		if st := r.groups[m.Group]; st != nil && in == st.parentIf {
-			st.lastReply = r.now()
+			st.lastReply = r.Now()
 		}
 	case TypeFlush:
 		r.flush(m.Group)
@@ -398,7 +351,7 @@ func (r *Router) handleJoinAck(in *netsim.Iface, m *Message) {
 		return
 	}
 	st.onTree = true
-	st.lastReply = r.now()
+	st.lastReply = r.Now()
 	if st.joinTimer != nil {
 		st.joinTimer.Stop()
 	}
@@ -435,7 +388,7 @@ func (r *Router) armAckRetry(g addr.IP, ifc *netsim.Iface, child addr.IP, attemp
 		return
 	}
 	p := &pendingAck{attempts: attempts}
-	p.timer = r.after(r.Cfg.AckRetry<<uint(attempts), func() {
+	p.timer = r.After(r.Cfg.AckRetry<<uint(attempts), func() {
 		if r.pendingAcks[key] != p {
 			return
 		}
@@ -464,7 +417,7 @@ func (r *Router) cancelAckRetry(g addr.IP, ifIdx int, child addr.IP) {
 // --- Keepalive and failure recovery ---
 
 func (r *Router) keepalive() {
-	now := r.now()
+	now := r.Now()
 	// Echo requests and parent-failure flushes are sends: their order must
 	// not follow map iteration (the expireNeighbors bug class), so walk the
 	// groups in ascending order via a reusable scratch.
@@ -537,10 +490,9 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		core, ok := r.Cfg.CoreMapping[g]
 		if !ok {
 			r.Metrics.Inc(metrics.DataNoState)
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: r.now(), Kind: telemetry.NoState, Router: r.Node.ID,
-					Iface: in.Index, Epoch: r.epoch, Source: pkt.Src, Group: g,
+			if r.Telemetry() != nil {
+				r.Emit(telemetry.Event{
+					Kind: telemetry.NoState, Iface: in.Index, Source: pkt.Src, Group: g,
 				})
 			}
 			return
@@ -549,10 +501,9 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		rt, ok := r.rpfc.Lookup(core)
 		if !ok || rt.Iface == in {
 			r.Metrics.Inc(metrics.DataDropped)
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: r.now(), Kind: telemetry.RPFDrop, Router: r.Node.ID,
-					Iface: in.Index, Epoch: r.epoch, Source: pkt.Src, Group: g,
+			if r.Telemetry() != nil {
+				r.Emit(telemetry.Event{
+					Kind: telemetry.RPFDrop, Iface: in.Index, Source: pkt.Src, Group: g,
 				})
 			}
 			return
@@ -567,10 +518,9 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		}
 		r.Node.Send(rt.Iface, fwd, nextHop)
 		r.Metrics.Inc(metrics.DataForwarded)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.DataForward, Router: r.Node.ID,
-				Iface: rt.Iface.Index, Epoch: r.epoch, Source: pkt.Src, Group: g,
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{
+				Kind: telemetry.DataForward, Iface: rt.Iface.Index, Source: pkt.Src, Group: g,
 			})
 		}
 		return
@@ -587,10 +537,9 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		}
 		r.Node.Send(ifc, fwd, nextHop)
 		r.Metrics.Inc(metrics.DataForwarded)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.DataForward, Router: r.Node.ID,
-				Iface: ifc.Index, Epoch: r.epoch, Source: pkt.Src, Group: g,
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{
+				Kind: telemetry.DataForward, Iface: ifc.Index, Source: pkt.Src, Group: g,
 			})
 		}
 	}

@@ -24,7 +24,6 @@ package core
 import (
 	"pim/internal/addr"
 	"pim/internal/netsim"
-	"pim/internal/telemetry"
 )
 
 // SPTPolicy selects when a last-hop router with local members abandons the
@@ -76,10 +75,6 @@ type Config struct {
 	// on one subnet share one forwarding entry and one join/prune list
 	// element. Must be enabled uniformly across a domain.
 	AggregateSources bool
-	// Telemetry, when non-nil, receives a structured event for every
-	// state-machine transition (see internal/telemetry). Nil keeps the
-	// engine on the zero-cost path: one untaken branch per would-be event.
-	Telemetry *telemetry.Bus
 	// AdvertiseRPMapping makes a router that owns an RP address flood
 	// periodic RP-report messages so other routers discover the mapping
 	// dynamically instead of by configuration (§4: "dynamically discovered

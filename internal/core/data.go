@@ -47,7 +47,7 @@ func (r *Router) senderSide(in *netsim.Iface, s, g addr.IP, pkt *packet.Packet) 
 	if len(rps) == 0 {
 		return
 	}
-	now := r.now()
+	now := r.Now()
 	sg := r.MFIB.SG(r.sourceKey(s), g)
 	// With a single RP, any live (S,G) branch means that RP has joined and
 	// native forwarding works; the per-interface check below would be
@@ -82,10 +82,10 @@ func (r *Router) senderSide(in *netsim.Iface, s, g addr.IP, pkt *packet.Packet) 
 		}
 		r.Node.Send(rt.Iface, r.enc.Packet(in.Addr, rp, packet.ProtoPIMData, packet.DefaultTTL), nextHop)
 		r.Metrics.Inc(metrics.CtrlRegister)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: now, Kind: telemetry.RegisterSend, Router: r.Node.ID,
-				Iface: rt.Iface.Index, Epoch: r.epoch, Source: r.sourceKey(s), Group: g,
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{
+				Kind: telemetry.RegisterSend, Iface: rt.Iface.Index, Source: r.sourceKey(s),
+				Group: g,
 			})
 		}
 	}
@@ -104,10 +104,9 @@ func (r *Router) forwardData(in *netsim.Iface, pkt *packet.Packet) {
 				// §3.5 exception 2: first packet arriving on the SPT
 				// interface completes the transition...
 				sg.SPTBit = true
-				if r.tel != nil {
-					r.tel.Publish(telemetry.Event{
-						At: r.now(), Kind: telemetry.SPTSwitch, Router: r.Node.ID,
-						Iface: -1, Epoch: r.epoch, Source: s, Group: g, Value: 1,
+				if r.Telemetry() != nil {
+					r.Emit(telemetry.Event{
+						Kind: telemetry.SPTSwitch, Iface: -1, Source: s, Group: g, Value: 1,
 					})
 				}
 				// ...and §3.3: prune the source off the shared tree if the
@@ -127,11 +126,8 @@ func (r *Router) forwardData(in *netsim.Iface, pkt *packet.Packet) {
 			return
 		}
 		r.Metrics.Inc(metrics.DataDropped)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.RPFDrop, Router: r.Node.ID,
-				Iface: in.Index, Epoch: r.epoch, Source: s, Group: g,
-			})
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{Kind: telemetry.RPFDrop, Iface: in.Index, Source: s, Group: g})
 		}
 		return
 	}
@@ -144,24 +140,18 @@ func (r *Router) forwardData(in *netsim.Iface, pkt *packet.Packet) {
 			return
 		}
 		r.Metrics.Inc(metrics.DataDropped)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.RPFDrop, Router: r.Node.ID,
-				Iface: in.Index, Epoch: r.epoch, Source: s, Group: g,
-			})
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{Kind: telemetry.RPFDrop, Iface: in.Index, Source: s, Group: g})
 		}
 		return
 	}
 	r.Metrics.Inc(metrics.DataNoState)
-	if r.tel != nil {
+	if r.Telemetry() != nil {
 		iface := -1
 		if in != nil {
 			iface = in.Index
 		}
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.NoState, Router: r.Node.ID,
-			Iface: iface, Epoch: r.epoch, Source: s, Group: g,
-		})
+		r.Emit(telemetry.Event{Kind: telemetry.NoState, Iface: iface, Source: s, Group: g})
 	}
 }
 
@@ -169,7 +159,7 @@ func (r *Router) forwardData(in *netsim.Iface, pkt *packet.Packet) {
 // prunes for s (§3.3 fn. 11), served from the compiled plans in
 // internal/mfib.
 func (r *Router) sharedOIFs(wc *mfib.Entry, s addr.IP, except *netsim.Iface) []*netsim.Iface {
-	return mfib.SharedForward(wc, r.MFIB.SGRpt(s, wc.Key.Group), r.now(), except)
+	return mfib.SharedForward(wc, r.MFIB.SGRpt(s, wc.Key.Group), r.Now(), except)
 }
 
 // unionOIFs is the (S,G) list united with the inherited shared-tree list —
@@ -179,7 +169,7 @@ func (r *Router) unionOIFs(sg, wc *mfib.Entry, s addr.IP, except *netsim.Iface) 
 	if wc != nil {
 		rpt = r.MFIB.SGRpt(s, wc.Key.Group)
 	}
-	return mfib.UnionForward(sg, wc, rpt, r.now(), except)
+	return mfib.UnionForward(sg, wc, rpt, r.Now(), except)
 }
 
 // emit transmits the packet over each outgoing interface with a TTL
@@ -200,15 +190,14 @@ func (r *Router) emit(pkt *packet.Packet, in *netsim.Iface, oifs []*netsim.Iface
 		}
 		r.Node.Send(out, fwd, 0)
 		r.Metrics.Inc(metrics.DataForwarded)
-		if r.tel != nil {
+		if r.Telemetry() != nil {
 			var sharedFlag int64
 			if shared {
 				sharedFlag = 1
 			}
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.DataForward, Router: r.Node.ID,
-				Iface: out.Index, Epoch: r.epoch,
-				Source: r.sourceKey(pkt.Src), Group: pkt.Dst, Value: sharedFlag,
+			r.Emit(telemetry.Event{
+				Kind: telemetry.DataForward, Iface: out.Index, Source: r.sourceKey(pkt.Src),
+				Group: pkt.Dst, Value: sharedFlag,
 			})
 		}
 	}
@@ -227,7 +216,7 @@ func (r *Router) considerSPTSwitch(in *netsim.Iface, s, g addr.IP, wc *mfib.Entr
 	if s == 0 || r.MFIB.SG(s, g) != nil {
 		return
 	}
-	now := r.now()
+	now := r.Now()
 	if r.Cfg.SPTPolicy == SwitchThreshold {
 		k := mfib.Key{Source: s, Group: g}
 		c := r.sptCount[k]
@@ -258,7 +247,7 @@ func (r *Router) hasLocalMember(e *mfib.Entry) bool {
 // replicated in the new shortest path tree", §3.3), and sends a join toward
 // the source.
 func (r *Router) initiateSPTSwitch(s, g addr.IP, wc *mfib.Entry) {
-	now := r.now()
+	now := r.Now()
 	iif, up, ok := r.rpf(s)
 	if !ok || up == 0 {
 		return // no route toward the source, or it is directly connected
@@ -270,15 +259,11 @@ func (r *Router) initiateSPTSwitch(s, g addr.IP, wc *mfib.Entry) {
 	sg.RP = wc.RP
 	sg.IIF, sg.UpstreamNeighbor = iif, up
 	sg.SPTBit = false
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: now, Kind: telemetry.IIFSet, Router: r.Node.ID, Iface: iif.Index,
-			Epoch: r.epoch, Source: s, Group: g, Value: entryKind(sg.Key),
+	if r.Telemetry() != nil {
+		r.Emit(telemetry.Event{
+			Kind: telemetry.IIFSet, Iface: iif.Index, Source: s, Group: g, Value: entryKind(sg.Key),
 		})
-		r.tel.Publish(telemetry.Event{
-			At: now, Kind: telemetry.SPTSwitch, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Source: s, Group: g, Value: 0,
-		})
+		r.Emit(telemetry.Event{Kind: telemetry.SPTSwitch, Iface: -1, Source: s, Group: g, Value: 0})
 	}
 	// "All local shared tree branches are replicated in the new shortest
 	// path tree" (§3.3): the local-member interfaces move over; downstream

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"slices"
-
 	"pim/internal/addr"
+	"pim/internal/engine"
 	"pim/internal/metrics"
 	"pim/internal/mfib"
 	"pim/internal/netsim"
@@ -22,9 +21,9 @@ type Router struct {
 	MFIB    *mfib.Table
 	Metrics *metrics.Counters
 
-	// tel is the telemetry bus from Config.Telemetry; nil disables all
-	// publication (every emit site is a single nil-check branch).
-	tel *telemetry.Bus
+	// Lifecycle carries the start/stop state, the epoch guard on every
+	// timer, and the telemetry bus (see internal/engine).
+	engine.Lifecycle
 
 	// rpfc memoizes Unicast lookups for the per-packet paths (RPF checks,
 	// register targeting, unicast relay), invalidated by table generation.
@@ -39,8 +38,8 @@ type Router struct {
 	// rpTimer fires RP fail-over for groups with local members (§3.9).
 	rpTimer map[addr.IP]*netsim.Timer
 
-	// neighbors[ifaceIndex][address] = expiry, learned from PIM queries.
-	neighbors map[int]map[addr.IP]netsim.Time
+	// neighbors is the PIM neighbor liveness learned from queries.
+	neighbors engine.Neighbors
 
 	// sptCount tracks §3.3 threshold switching per (S,G).
 	sptCount map[mfib.Key]*sptCounter
@@ -69,12 +68,6 @@ type Router struct {
 	jpMsg      pimmsg.JoinPrune
 	rptScratch []addr.IP
 
-	started bool
-	// epoch invalidates scheduled closures across Stop/Restart: every timer
-	// body is wrapped to fire only if the epoch it was scheduled under is
-	// still current, so a crashed incarnation's callbacks become inert
-	// instead of mutating the fresh state of the next one.
-	epoch uint64
 	// onChangeHooked: Unicast.OnChange registration is append-only, so the
 	// callback is installed once and gated on started instead of being
 	// re-registered per Start.
@@ -96,17 +89,16 @@ type sptCounter struct {
 func New(nd *netsim.Node, cfg Config, uni unicast.Router) *Router {
 	cfg.fillDefaults()
 	r := &Router{
+		Lifecycle:    engine.New(nd),
 		Node:         nd,
 		Cfg:          cfg,
 		Unicast:      uni,
-		tel:          cfg.Telemetry,
 		rpfc:         rpf.New(uni),
 		MFIB:         mfib.NewTable(),
 		Metrics:      metrics.New(),
 		rpMap:        map[addr.IP][]addr.IP{},
 		currentRP:    map[addr.IP]addr.IP{},
 		rpTimer:      map[addr.IP]*netsim.Timer{},
-		neighbors:    map[int]map[addr.IP]netsim.Time{},
 		sptCount:     map[mfib.Key]*sptCounter{},
 		rpReportSeqs: map[addr.IP]uint32{},
 		learnedRP:    map[addr.IP]learnedMapping{},
@@ -119,15 +111,8 @@ func New(nd *netsim.Node, cfg Config, uni unicast.Router) *Router {
 
 // Start registers packet handlers and begins the periodic machinery.
 func (r *Router) Start() {
-	if r.started {
+	if !r.Begin(r.MFIB.Len()) {
 		return
-	}
-	r.started = true
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EpochStart, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Value: int64(r.MFIB.Len()),
-		})
 	}
 	r.Node.Handle(packet.ProtoPIM, netsim.HandlerFunc(r.handlePIM))
 	r.Node.Handle(packet.ProtoPIMData, netsim.HandlerFunc(r.handlePIM))
@@ -135,7 +120,7 @@ func (r *Router) Start() {
 	if !r.onChangeHooked {
 		r.onChangeHooked = true
 		r.Unicast.OnChange(func() {
-			if r.started {
+			if r.Started() {
 				r.routesChanged()
 			}
 		})
@@ -145,28 +130,28 @@ func (r *Router) Start() {
 	refresh = func() {
 		r.maintain()
 		r.periodicRefresh()
-		r.after(r.Cfg.JoinPruneInterval, refresh)
+		r.After(r.Cfg.JoinPruneInterval, refresh)
 	}
 	// Deterministic per-router phase offset: desynchronized refreshes give
 	// §3.7 join suppression a chance to work on shared LANs.
 	offset := netsim.Time(uint64(r.Node.ID)*1000003) % (r.Cfg.JoinPruneInterval / 2)
-	r.after(offset, refresh)
+	r.After(offset, refresh)
 
 	var query func()
 	query = func() {
 		r.expireNeighbors()
 		r.sendQueries()
-		r.after(r.Cfg.QueryInterval, query)
+		r.After(r.Cfg.QueryInterval, query)
 	}
-	r.after(0, query)
+	r.After(0, query)
 
 	var rpBeacon func()
 	rpBeacon = func() {
 		r.originateRPReach()
 		r.originateRPReport()
-		r.after(r.Cfg.RPReachInterval, rpBeacon)
+		r.After(r.Cfg.RPReachInterval, rpBeacon)
 	}
-	r.after(0, rpBeacon)
+	r.After(0, rpBeacon)
 }
 
 // Stop detaches the router from its node and discards every piece of soft
@@ -178,17 +163,9 @@ func (r *Router) Start() {
 // sequence number would make peers discard the next incarnation's reports
 // as replays.
 func (r *Router) Stop() {
-	if !r.started {
+	if !r.End(r.MFIB.Len()) {
 		return
 	}
-	r.started = false
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EpochEnd, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Value: int64(r.MFIB.Len()),
-		})
-	}
-	r.epoch++
 	r.Node.Handle(packet.ProtoPIM, nil)
 	r.Node.Handle(packet.ProtoPIMData, nil)
 	r.Node.Handle(packet.ProtoUDP, nil)
@@ -200,7 +177,7 @@ func (r *Router) Stop() {
 	r.rpMap = map[addr.IP][]addr.IP{}
 	r.currentRP = map[addr.IP]addr.IP{}
 	r.rpTimer = map[addr.IP]*netsim.Timer{}
-	r.neighbors = map[int]map[addr.IP]netsim.Time{}
+	r.neighbors.Reset()
 	r.sptCount = map[mfib.Key]*sptCounter{}
 	r.rpReportSeqs = map[addr.IP]uint32{}
 	r.learnedRP = map[addr.IP]learnedMapping{}
@@ -216,29 +193,6 @@ func (r *Router) Restart() {
 	r.Stop()
 	r.Start()
 }
-
-// after schedules fn under the current epoch: if the router is stopped or
-// restarted before the timer fires, the closure is a no-op.
-func (r *Router) after(d netsim.Time, fn func()) *netsim.Timer {
-	ep := r.epoch
-	return r.sched().After(d, func() {
-		if r.epoch == ep {
-			// Published past the guard: the event records a timer body that
-			// actually executed, carrying the epoch it was armed under, so
-			// the invariant checker can assert no dead incarnation ever acts.
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: r.now(), Kind: telemetry.TimerFire, Router: r.Node.ID,
-					Iface: -1, Epoch: ep,
-				})
-			}
-			fn()
-		}
-	})
-}
-
-func (r *Router) sched() *netsim.Scheduler { return r.Node.Sched() }
-func (r *Router) now() netsim.Time         { return r.sched().Now() }
 
 // SetRPMapping installs or replaces the ordered RP candidate list for a
 // group (configuration path of §3, or host RPMap messages via LearnRPMap).
@@ -265,7 +219,7 @@ func (r *Router) RPsFor(g addr.IP) []addr.IP {
 	if rps := r.rpMap[g]; len(rps) > 0 {
 		return rps
 	}
-	if lm, ok := r.learnedRP[g]; ok && r.now() <= lm.expires {
+	if lm, ok := r.learnedRP[g]; ok && r.Now() <= lm.expires {
 		return []addr.IP{lm.rp}
 	}
 	return nil
@@ -280,7 +234,7 @@ func (r *Router) rpFor(g addr.IP) (addr.IP, bool) {
 	}
 	rps := r.rpMap[g]
 	if len(rps) == 0 {
-		if lm, ok := r.learnedRP[g]; ok && r.now() <= lm.expires {
+		if lm, ok := r.learnedRP[g]; ok && r.Now() <= lm.expires {
 			r.currentRP[g] = lm.rp
 			return lm.rp, true
 		}
@@ -326,7 +280,7 @@ func (r *Router) rpf(target addr.IP) (iif *netsim.Iface, upstream addr.IP, ok bo
 		// Directly connected subnet. If the target itself is a PIM
 		// neighbor (an RP sharing our LAN), address it; if it is a host
 		// (a directly-connected source), there is no upstream router.
-		if r.isNeighbor(rt.Iface, target) {
+		if r.neighbors.Live(rt.Iface.Index, target, r.Now()) {
 			up = target
 		}
 	}
@@ -353,68 +307,21 @@ func (r *Router) handleQuery(in *netsim.Iface, src addr.IP, body []byte) {
 	if err := pimmsg.UnmarshalQueryInto(&q, body); err != nil {
 		return
 	}
-	byAddr := r.neighbors[in.Index]
-	if byAddr == nil {
-		byAddr = map[addr.IP]netsim.Time{}
-		r.neighbors[in.Index] = byAddr
+	now := r.Now()
+	known, _ := r.neighbors.Hear(in.Index, src, now, now+netsim.Time(q.HoldTime)*netsim.Second)
+	if !known && r.Telemetry() != nil {
+		r.Emit(telemetry.Event{Kind: telemetry.NeighborUp, Iface: in.Index, Source: src})
 	}
-	if _, known := byAddr[src]; !known && r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.NeighborUp, Router: r.Node.ID,
-			Iface: in.Index, Epoch: r.epoch, Source: src,
-		})
-	}
-	byAddr[src] = r.now() + netsim.Time(q.HoldTime)*netsim.Second
 }
 
+// expireNeighbors drops neighbors whose hold ran out, publishing each
+// NeighborDown in (iface, address) order.
 func (r *Router) expireNeighbors() {
-	now := r.now()
-	// Collect expiries and process them in (iface, address) order: a sweep
-	// can expire several neighbors at once (simultaneous link failures), and
-	// publishing in map-iteration order would make the telemetry stream
-	// nondeterministic.
-	type expiry struct {
-		idx int
-		a   addr.IP
-	}
-	var dead []expiry
-	for idx, byAddr := range r.neighbors {
-		for a, deadline := range byAddr {
-			if now > deadline {
-				dead = append(dead, expiry{idx, a})
-			}
+	r.neighbors.Expire(r.Now(), func(iface int, a addr.IP) {
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{Kind: telemetry.NeighborDown, Iface: iface, Source: a})
 		}
-	}
-	slices.SortFunc(dead, func(x, y expiry) int {
-		if x.idx != y.idx {
-			return x.idx - y.idx
-		}
-		switch {
-		case x.a < y.a:
-			return -1
-		case x.a > y.a:
-			return 1
-		}
-		return 0
 	})
-	for _, e := range dead {
-		delete(r.neighbors[e.idx], e.a)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: now, Kind: telemetry.NeighborDown, Router: r.Node.ID,
-				Iface: e.idx, Epoch: r.epoch, Source: e.a,
-			})
-		}
-	}
-}
-
-func (r *Router) isNeighbor(ifc *netsim.Iface, a addr.IP) bool {
-	byAddr := r.neighbors[ifc.Index]
-	if byAddr == nil {
-		return false
-	}
-	deadline, ok := byAddr[a]
-	return ok && r.now() <= deadline
 }
 
 // IsDR reports whether this router is the designated router on the
@@ -422,27 +329,11 @@ func (r *Router) isNeighbor(ifc *netsim.Iface, a addr.IP) bool {
 // ("the designated router is the one that takes responsibility for serving
 // the members on the LAN").
 func (r *Router) IsDR(ifc *netsim.Iface) bool {
-	now := r.now()
-	for a, deadline := range r.neighbors[ifc.Index] {
-		if now <= deadline && a > ifc.Addr {
-			return false
-		}
-	}
-	return true
+	return !r.neighbors.Above(ifc.Index, ifc.Addr, r.Now())
 }
 
 // Neighbors returns the live PIM neighbors on an interface, sorted.
-func (r *Router) Neighbors(ifc *netsim.Iface) []addr.IP {
-	now := r.now()
-	var out []addr.IP
-	for a, deadline := range r.neighbors[ifc.Index] {
-		if now <= deadline {
-			out = append(out, a)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
+func (r *Router) Neighbors(ifc *netsim.Iface) []addr.IP { return r.neighbors.List(ifc.Index, r.Now()) }
 
 // --- PIM message dispatch ---
 
@@ -496,18 +387,7 @@ func (r *Router) StateCount() int { return r.MFIB.Len() }
 // interfaces — the recovery tests' stale-neighbor probe: after a peer's
 // crash and hold-time expiry it must drop, and after the peer's restart it
 // must return to the interface's true degree.
-func (r *Router) NeighborCount() int {
-	now := r.now()
-	n := 0
-	for _, byAddr := range r.neighbors {
-		for _, deadline := range byAddr {
-			if now <= deadline {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (r *Router) NeighborCount() int { return r.neighbors.Count(r.Now()) }
 
 // HandlePIMPacket is the exported PIM control entry point, used by border
 // routers (internal/border) that multiplex sparse- and dense-mode protocol

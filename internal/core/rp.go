@@ -48,7 +48,7 @@ func (r *Router) handleRegister(in *netsim.Iface, outer *packet.Packet, body []b
 // and joins toward it. via is the interface the source is directly
 // connected on when the RP is also the source's DR, nil otherwise.
 func (r *Router) rpAcceptSource(s, g addr.IP, via *netsim.Iface) {
-	now := r.now()
+	now := r.Now()
 	sg, created := r.upsert(mfib.Key{Source: s, Group: g}, now)
 	if !created {
 		return
@@ -86,7 +86,7 @@ func (r *Router) originateRPReach() {
 func (r *Router) distributeRPReach(wc *mfib.Entry, m *pimmsg.RPReach, except *netsim.Iface) {
 	r.enc.Buf = pimmsg.AppendEnvelope(r.enc.Buf[:0], pimmsg.TypeRPReach)
 	r.enc.Buf = m.MarshalTo(r.enc.Buf)
-	for _, ifc := range wc.AppendLiveOIFs(nil, r.now(), except) {
+	for _, ifc := range wc.AppendLiveOIFs(nil, r.Now(), except) {
 		r.Node.Send(ifc, r.enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
 		r.Metrics.Inc(metrics.CtrlRPReach)
 	}
@@ -151,7 +151,7 @@ func (r *Router) handleRPReport(in *netsim.Iface, body []byte) {
 		return
 	}
 	r.rpReportSeqs[rep.RP] = rep.Seq
-	expires := r.now() + 3*r.Cfg.RPReachInterval
+	expires := r.Now() + 3*r.Cfg.RPReachInterval
 	for _, g := range rep.Groups {
 		// Cached mapping; configuration and host-supplied mappings win.
 		r.learnedRP[g] = learnedMapping{rp: rep.RP, expires: expires}
@@ -205,11 +205,8 @@ func (r *Router) rpFailover(g addr.IP) {
 	if len(localIfaces) == 0 {
 		return // transit-only state: soft-state expiry handles it
 	}
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.RPFailover, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Source: next, Group: g,
-		})
+	if r.Telemetry() != nil {
+		r.Emit(telemetry.Event{Kind: telemetry.RPFailover, Iface: -1, Source: next, Group: g})
 	}
 	r.deleteEntry(old.Key)
 	// Also drop negative caches tied to the old tree.
@@ -223,7 +220,7 @@ func (r *Router) rpFailover(g addr.IP) {
 		r.deleteEntry(k)
 	}
 	r.currentRP[g] = next
-	now := r.now()
+	now := r.Now()
 	wc, _ := r.upsert(mfib.Key{Group: g, RPBit: true}, now)
 	wc.RP = next
 	r.setUpstream(wc, next)

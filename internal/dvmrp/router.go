@@ -2,6 +2,7 @@ package dvmrp
 
 import (
 	"pim/internal/addr"
+	"pim/internal/engine"
 	"pim/internal/metrics"
 	"pim/internal/mfib"
 	"pim/internal/netsim"
@@ -24,9 +25,6 @@ type Config struct {
 	// (capped at 8x) until the ack arrives or the branch stops wanting
 	// traffic.
 	GraftRetry netsim.Time
-	// Telemetry, when non-nil, receives structured events for every state
-	// transition (see internal/telemetry).
-	Telemetry *telemetry.Bus
 }
 
 // Defaults. RFC 1075 uses ~2 hours for prunes; experiments scale it down so
@@ -48,18 +46,18 @@ type Router struct {
 	MFIB    *mfib.Table
 	Metrics *metrics.Counters
 
-	// tel is the telemetry bus from Config.Telemetry; nil disables all
-	// publication.
-	tel *telemetry.Bus
+	// Lifecycle carries the start/stop state, the epoch guard on every
+	// timer, and the telemetry bus (see internal/engine).
+	engine.Lifecycle
 
 	// rpfc memoizes the per-packet reverse-path lookup, invalidated by
 	// unicast table generation.
 	rpfc *rpf.Cache
 
-	// neighbors[ifaceIndex][addr] = expiry; learned from probes.
-	neighbors map[int]map[addr.IP]netsim.Time
-	// members[ifaceIndex][group] = true; local membership from IGMP.
-	members map[int]map[addr.IP]bool
+	// neighbors is the neighbor liveness learned from probes.
+	neighbors engine.Neighbors
+	// members is the local membership from IGMP.
+	members engine.Members
 	// prunedUpstream[key] = true when we sent a prune toward the source and
 	// have not grafted back.
 	prunedUpstream map[mfib.Key]bool
@@ -70,12 +68,6 @@ type Router struct {
 	// core.Router.enc): safe because Node.Send copies the payload into its
 	// transmit frame before returning.
 	enc packet.Scratch
-
-	started bool
-	// epoch invalidates scheduled closures across Stop/Restart (see
-	// core.Router): timer bodies fire only under the epoch they were
-	// scheduled in.
-	epoch uint64
 }
 
 // pendingGraft tracks one unacked graft awaiting retransmission.
@@ -97,12 +89,10 @@ func New(nd *netsim.Node, cfg Config, uni unicast.Router) *Router {
 	}
 	return &Router{
 		Node: nd, Cfg: cfg, Unicast: uni,
-		tel:            cfg.Telemetry,
+		Lifecycle:      engine.New(nd),
 		rpfc:           rpf.New(uni),
 		MFIB:           mfib.NewTable(),
 		Metrics:        metrics.New(),
-		neighbors:      map[int]map[addr.IP]netsim.Time{},
-		members:        map[int]map[addr.IP]bool{},
 		prunedUpstream: map[mfib.Key]bool{},
 		pendingGrafts:  map[mfib.Key]*pendingGraft{},
 	}
@@ -110,42 +100,27 @@ func New(nd *netsim.Node, cfg Config, uni unicast.Router) *Router {
 
 // Start registers handlers and begins probing.
 func (r *Router) Start() {
-	if r.started {
+	if !r.Begin(r.MFIB.Len()) {
 		return
-	}
-	r.started = true
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EpochStart, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Value: int64(r.MFIB.Len()),
-		})
 	}
 	r.Node.Handle(packet.ProtoDVMRP, netsim.HandlerFunc(r.handleCtrl))
 	r.Node.Handle(packet.ProtoUDP, netsim.HandlerFunc(r.handleData))
 	var probe func()
 	probe = func() {
-		r.expireNeighbors()
+		r.neighbors.Expire(r.Now(), nil)
 		r.sendProbes()
-		r.after(r.Cfg.ProbeInterval, probe)
+		r.After(r.Cfg.ProbeInterval, probe)
 	}
-	r.after(0, probe)
+	r.After(0, probe)
 }
 
 // Stop detaches the router and discards all soft state: forwarding entries,
 // neighbor liveness, local membership, prune markers, and graft
 // retransmission timers. Scheduled closures die via the epoch bump.
 func (r *Router) Stop() {
-	if !r.started {
+	if !r.End(r.MFIB.Len()) {
 		return
 	}
-	r.started = false
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EpochEnd, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Value: int64(r.MFIB.Len()),
-		})
-	}
-	r.epoch++
 	r.Node.Handle(packet.ProtoDVMRP, nil)
 	r.Node.Handle(packet.ProtoUDP, nil)
 	for _, p := range r.pendingGrafts {
@@ -153,8 +128,8 @@ func (r *Router) Stop() {
 	}
 	r.rpfc = rpf.New(r.Unicast)
 	r.MFIB = mfib.NewTable()
-	r.neighbors = map[int]map[addr.IP]netsim.Time{}
-	r.members = map[int]map[addr.IP]bool{}
+	r.neighbors.Reset()
+	r.members.Reset()
 	r.prunedUpstream = map[mfib.Key]bool{}
 	r.pendingGrafts = map[mfib.Key]*pendingGraft{}
 }
@@ -166,55 +141,18 @@ func (r *Router) Restart() {
 	r.Start()
 }
 
-// after schedules fn under the current epoch: a Stop/Restart before the
-// timer fires makes the closure a no-op.
-func (r *Router) after(d netsim.Time, fn func()) *netsim.Timer {
-	ep := r.epoch
-	return r.Node.Sched().After(d, func() {
-		if r.epoch == ep {
-			// Published past the epoch guard so the event records a timer
-			// body that actually ran (see core.Router.after).
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: r.now(), Kind: telemetry.TimerFire, Router: r.Node.ID,
-					Iface: -1, Epoch: ep,
-				})
-			}
-			fn()
-		}
-	})
-}
-
-func (r *Router) now() netsim.Time { return r.Node.Sched().Now() }
-
 // StateCount returns the number of multicast forwarding entries.
 func (r *Router) StateCount() int { return r.MFIB.Len() }
 
 // NeighborCount returns the number of live DVMRP neighbor entries across
 // all interfaces — the recovery tests' stale-neighbor probe.
-func (r *Router) NeighborCount() int {
-	now := r.now()
-	n := 0
-	for _, byAddr := range r.neighbors {
-		for _, deadline := range byAddr {
-			if now <= deadline {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (r *Router) NeighborCount() int { return r.neighbors.Count(r.Now()) }
 
 // --- Membership (from IGMP) ---
 
 // LocalJoin records a member and grafts pruned branches back (§1.1 graft).
 func (r *Router) LocalJoin(ifc *netsim.Iface, g addr.IP) {
-	byGroup := r.members[ifc.Index]
-	if byGroup == nil {
-		byGroup = map[addr.IP]bool{}
-		r.members[ifc.Index] = byGroup
-	}
-	byGroup[g] = true
+	r.members.Add(ifc.Index, g)
 	// Splice this interface back into every active source's tree.
 	r.MFIB.ForGroup(g, func(e *mfib.Entry) {
 		if e.Wildcard || e.Key.RPBit {
@@ -231,10 +169,8 @@ func (r *Router) LocalJoin(ifc *netsim.Iface, g addr.IP) {
 // LocalLeave removes a member; sources flowing to a now-dead branch get
 // pruned.
 func (r *Router) LocalLeave(ifc *netsim.Iface, g addr.IP) {
-	if byGroup := r.members[ifc.Index]; byGroup != nil {
-		delete(byGroup, g)
-	}
-	now := r.now()
+	r.members.Remove(ifc.Index, g)
+	now := r.Now()
 	r.MFIB.ForGroup(g, func(e *mfib.Entry) {
 		if e.Wildcard || e.Key.RPBit {
 			return
@@ -250,11 +186,6 @@ func (r *Router) LocalLeave(ifc *netsim.Iface, g addr.IP) {
 	})
 }
 
-func (r *Router) hasMember(ifc *netsim.Iface, g addr.IP) bool {
-	byGroup := r.members[ifc.Index]
-	return byGroup != nil && byGroup[g]
-}
-
 // --- Neighbor probes ---
 
 func (r *Router) sendProbes() {
@@ -268,29 +199,6 @@ func (r *Router) sendProbes() {
 	}
 }
 
-func (r *Router) expireNeighbors() {
-	now := r.now()
-	for _, byAddr := range r.neighbors {
-		for a, deadline := range byAddr {
-			if now > deadline {
-				delete(byAddr, a)
-			}
-		}
-	}
-}
-
-// isLeaf reports whether an interface has no DVMRP neighbor: a leaf subnet
-// eligible for truncated broadcast.
-func (r *Router) isLeaf(ifc *netsim.Iface) bool {
-	now := r.now()
-	for _, deadline := range r.neighbors[ifc.Index] {
-		if now <= deadline {
-			return false
-		}
-	}
-	return true
-}
-
 // neighborUp re-evaluates existing (S,G) entries when an adjacency forms on
 // ifc. A restarted transit router that receives data before its downstream
 // neighbor's first probe classifies ifc as a leaf, builds entries that omit
@@ -302,7 +210,7 @@ func (r *Router) neighborUp(ifc *netsim.Iface) {
 	if !ifc.Up() || ifc.Addr == 0 {
 		return
 	}
-	now := r.now()
+	now := r.Now()
 	r.MFIB.ForEach(func(e *mfib.Entry) {
 		if e.Wildcard || e.Key.RPBit {
 			return
@@ -331,15 +239,8 @@ func (r *Router) handleCtrl(in *netsim.Iface, pkt *packet.Packet) {
 	m := &msg
 	switch m.Type {
 	case TypeProbe:
-		byAddr := r.neighbors[in.Index]
-		if byAddr == nil {
-			byAddr = map[addr.IP]netsim.Time{}
-			r.neighbors[in.Index] = byAddr
-		}
-		deadline, known := byAddr[pkt.Src]
-		fresh := !known || r.now() > deadline
-		byAddr[pkt.Src] = r.now() + 3*r.Cfg.ProbeInterval
-		if fresh {
+		now := r.Now()
+		if _, live := r.neighbors.Hear(in.Index, pkt.Src, now, now+3*r.Cfg.ProbeInterval); !live {
 			r.neighborUp(in)
 		}
 	case TypePrune:
@@ -363,13 +264,13 @@ func (r *Router) handlePrune(in *netsim.Iface, m *Message) {
 	if e == nil {
 		return
 	}
-	if r.hasMember(in, m.Group) {
+	if r.members.Has(in.Index, m.Group) {
 		return // members still present on that subnet: ignore stray prune
 	}
 	e.RemoveOIF(in)
 	lifetime := netsim.Time(m.Lifetime) * netsim.Second
 	key := e.Key
-	r.after(lifetime, func() {
+	r.After(lifetime, func() {
 		// Grow back (§1.1): the branch resumes broadcast until re-pruned.
 		if cur := r.MFIB.Get(key); cur != nil && in.Up() {
 			cur.AddOIF(in, infiniteExpiry)
@@ -401,7 +302,7 @@ func (r *Router) handleGraft(in *netsim.Iface, from addr.IP, m *Message) {
 // maybePruneUpstream sends a prune toward the source when no outgoing
 // interface remains.
 func (r *Router) maybePruneUpstream(e *mfib.Entry) {
-	if !e.OIFEmpty(r.now()) || r.prunedUpstream[e.Key] {
+	if !e.OIFEmpty(r.Now()) || r.prunedUpstream[e.Key] {
 		return
 	}
 	if e.UpstreamNeighbor == 0 {
@@ -412,7 +313,7 @@ func (r *Router) maybePruneUpstream(e *mfib.Entry) {
 	// Self grow-back: after the advertised lifetime upstream resumes
 	// sending, so clear the pruned marker and let data re-populate.
 	key := e.Key
-	r.after(r.Cfg.PruneLifetime, func() {
+	r.After(r.Cfg.PruneLifetime, func() {
 		delete(r.prunedUpstream, key)
 	})
 }
@@ -427,20 +328,18 @@ func (r *Router) sendCtrlUpstream(e *mfib.Entry, typ byte, lifetime uint16) {
 	switch typ {
 	case TypePrune:
 		r.Metrics.Inc(metrics.CtrlPrune)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.PruneSend, Router: r.Node.ID,
-				Iface: e.IIF.Index, Epoch: r.epoch,
-				Source: e.Key.Source, Group: e.Key.Group,
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{
+				Kind: telemetry.PruneSend, Iface: e.IIF.Index, Source: e.Key.Source,
+				Group: e.Key.Group,
 			})
 		}
 	case TypeGraft:
 		r.Metrics.Inc(metrics.CtrlGraft)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.GraftSend, Router: r.Node.ID,
-				Iface: e.IIF.Index, Epoch: r.epoch,
-				Source: e.Key.Source, Group: e.Key.Group,
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{
+				Kind: telemetry.GraftSend, Iface: e.IIF.Index, Source: e.Key.Source,
+				Group: e.Key.Group,
 			})
 		}
 		// Grafts are acknowledged: arm retransmission until the ack lands
@@ -454,13 +353,13 @@ func (r *Router) armGraftRetry(key mfib.Key, backoff netsim.Time) {
 		prev.timer.Stop()
 	}
 	p := &pendingGraft{backoff: backoff}
-	p.timer = r.after(backoff, func() {
+	p.timer = r.After(backoff, func() {
 		if r.pendingGrafts[key] != p {
 			return
 		}
 		delete(r.pendingGrafts, key)
 		e := r.MFIB.Get(key)
-		if e == nil || e.OIFEmpty(r.now()) {
+		if e == nil || e.OIFEmpty(r.Now()) {
 			return
 		}
 		if e.IIF == nil || e.UpstreamNeighbor == 0 || !e.IIF.Up() {
@@ -470,11 +369,9 @@ func (r *Router) armGraftRetry(key mfib.Key, backoff netsim.Time) {
 		r.enc.Buf = m.MarshalTo(r.enc.Buf[:0])
 		r.Node.Send(e.IIF, r.enc.Packet(e.IIF.Addr, e.UpstreamNeighbor, packet.ProtoDVMRP, 1), e.UpstreamNeighbor)
 		r.Metrics.Inc(metrics.CtrlGraft)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: r.now(), Kind: telemetry.GraftSend, Router: r.Node.ID,
-				Iface: e.IIF.Index, Epoch: r.epoch,
-				Source: key.Source, Group: key.Group,
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{
+				Kind: telemetry.GraftSend, Iface: e.IIF.Index, Source: key.Source, Group: key.Group,
 			})
 		}
 		next := p.backoff * 2
@@ -494,7 +391,7 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		return
 	}
 	s := pkt.Src
-	now := r.now()
+	now := r.Now()
 	// RPF check: accept only on the interface used to reach the source.
 	srcLocal := in.Addr != 0 && unicast.LinkPrefix(in.Addr).Contains(s)
 	var iif *netsim.Iface
@@ -503,10 +400,9 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		rt, ok := r.rpfc.Lookup(s)
 		if !ok {
 			r.Metrics.Inc(metrics.DataDropped)
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: now, Kind: telemetry.NoState, Router: r.Node.ID,
-					Iface: in.Index, Epoch: r.epoch, Source: s, Group: g,
+			if r.Telemetry() != nil {
+				r.Emit(telemetry.Event{
+					Kind: telemetry.NoState, Iface: in.Index, Source: s, Group: g,
 				})
 			}
 			return
@@ -514,10 +410,9 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		iif, upstream = rt.Iface, rt.NextHop
 		if in != iif {
 			r.Metrics.Inc(metrics.DataDropped)
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: now, Kind: telemetry.RPFDrop, Router: r.Node.ID,
-					Iface: in.Index, Epoch: r.epoch, Source: s, Group: g,
+			if r.Telemetry() != nil {
+				r.Emit(telemetry.Event{
+					Kind: telemetry.RPFDrop, Iface: in.Index, Source: s, Group: g,
 				})
 			}
 			return
@@ -535,15 +430,14 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		if srcLocal {
 			e.UpstreamNeighbor = 0
 		}
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: now, Kind: telemetry.EntryCreate, Router: r.Node.ID, Iface: -1,
-				Epoch: r.epoch, Source: s, Group: g, Value: telemetry.EntrySG,
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{
+				Kind: telemetry.EntryCreate, Iface: -1, Source: s, Group: g,
+				Value: telemetry.EntrySG,
 			})
 			if !srcLocal {
-				r.tel.Publish(telemetry.Event{
-					At: now, Kind: telemetry.IIFSet, Router: r.Node.ID,
-					Iface: iif.Index, Epoch: r.epoch, Source: s, Group: g,
+				r.Emit(telemetry.Event{
+					Kind: telemetry.IIFSet, Iface: iif.Index, Source: s, Group: g,
 					Value: telemetry.EntrySG,
 				})
 			}
@@ -552,8 +446,8 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 			if ifc == in || !ifc.Up() || ifc.Addr == 0 {
 				continue
 			}
-			if r.isLeaf(ifc) {
-				if r.hasMember(ifc, g) {
+			if r.neighbors.Leaf(ifc.Index, now) {
+				if r.members.Has(ifc.Index, g) {
 					e.AddLocalOIF(ifc)
 				}
 				continue // truncated broadcast
@@ -573,10 +467,9 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 	for _, out := range oifs {
 		r.Node.Send(out, fwd, 0)
 		r.Metrics.Inc(metrics.DataForwarded)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: now, Kind: telemetry.DataForward, Router: r.Node.ID,
-				Iface: out.Index, Epoch: r.epoch, Source: s, Group: g,
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{
+				Kind: telemetry.DataForward, Iface: out.Index, Source: s, Group: g,
 			})
 		}
 	}

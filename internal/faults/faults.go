@@ -118,7 +118,9 @@ type pairState struct {
 // Lifecycle is the crash/restart surface of a protocol engine (implemented
 // by the five multicast engines and the IGMP querier). Stop detaches the
 // instance and discards all of its soft state; Restart brings it back empty,
-// to be rebuilt purely from periodic refresh.
+// to be rebuilt purely from periodic refresh. Each implementation builds
+// Stop on the shared engine.Lifecycle it embeds (internal/engine), whose
+// epoch guard keeps every timer armed before the Stop from ever running.
 type Lifecycle interface {
 	Stop()
 	Restart()

@@ -2,6 +2,7 @@ package igmp
 
 import (
 	"pim/internal/addr"
+	"pim/internal/engine"
 	"pim/internal/netsim"
 	"pim/internal/packet"
 	"pim/internal/telemetry"
@@ -29,9 +30,9 @@ type Querier struct {
 	// OnRPMap fires when a host pushes a group→RP mapping.
 	OnRPMap func(group addr.IP, rps []addr.IP)
 
-	// Telemetry, when non-nil, receives MemberJoin/MemberLeave and lifecycle
-	// events. Set before Start.
-	Telemetry *telemetry.Bus
+	// Lifecycle carries the start/stop state, the epoch guard on the query
+	// tick, and the telemetry bus (see internal/engine).
+	engine.Lifecycle
 
 	// members[ifaceIndex][group] = expiry time.
 	members map[int]map[addr.IP]netsim.Time
@@ -43,15 +44,12 @@ type Querier struct {
 	// handing it to OnRPMap, which may retain it.
 	enc packet.Scratch
 	dec Message
-
-	started bool
-	// epoch invalidates the query tick across Stop/Restart.
-	epoch uint64
 }
 
 // NewQuerier attaches the router side of IGMP to a node.
 func NewQuerier(nd *netsim.Node) *Querier {
 	return &Querier{
+		Lifecycle:     engine.New(nd),
 		Node:          nd,
 		QueryInterval: DefaultQueryInterval,
 		HoldTime:      DefaultMembershipHoldTime,
@@ -61,35 +59,17 @@ func NewQuerier(nd *netsim.Node) *Querier {
 
 // Start registers the IGMP handler and begins periodic querying.
 func (q *Querier) Start() {
-	if q.started {
+	if !q.Begin(q.memberCount()) {
 		return
 	}
-	q.started = true
-	if q.Telemetry != nil {
-		q.Telemetry.Publish(telemetry.Event{
-			At: q.Node.Sched().Now(), Kind: telemetry.EpochStart,
-			Router: q.Node.ID, Iface: -1, Epoch: q.epoch, Value: int64(q.memberCount()),
-		})
-	}
 	q.Node.Handle(packet.ProtoIGMP, netsim.HandlerFunc(q.handle))
-	sched := q.Node.Sched()
-	ep := q.epoch
 	var tick func()
 	tick = func() {
-		if q.epoch != ep {
-			return
-		}
-		if q.Telemetry != nil {
-			q.Telemetry.Publish(telemetry.Event{
-				At: sched.Now(), Kind: telemetry.TimerFire,
-				Router: q.Node.ID, Iface: -1, Epoch: ep,
-			})
-		}
 		q.expire()
 		q.query()
-		sched.After(q.QueryInterval, tick)
+		q.After(q.QueryInterval, tick)
 	}
-	sched.After(0, tick)
+	q.After(0, tick)
 }
 
 // Stop detaches the querier and forgets all learned membership. The OnLeave
@@ -97,17 +77,9 @@ func (q *Querier) Start() {
 // the routing protocol down with it, and the restarted instance re-learns
 // membership from host reports to its immediate re-query.
 func (q *Querier) Stop() {
-	if !q.started {
+	if !q.End(0) {
 		return
 	}
-	q.started = false
-	if q.Telemetry != nil {
-		q.Telemetry.Publish(telemetry.Event{
-			At: q.Node.Sched().Now(), Kind: telemetry.EpochEnd,
-			Router: q.Node.ID, Iface: -1, Epoch: q.epoch,
-		})
-	}
-	q.epoch++
 	q.Node.Handle(packet.ProtoIGMP, nil)
 	q.members = map[int]map[addr.IP]netsim.Time{}
 }
@@ -173,13 +145,10 @@ func (q *Querier) noteMember(in *netsim.Iface, g addr.IP) {
 		q.members[in.Index] = byGroup
 	}
 	_, had := byGroup[g]
-	byGroup[g] = q.Node.Sched().Now() + q.HoldTime
+	byGroup[g] = q.Now() + q.HoldTime
 	if !had {
-		if q.Telemetry != nil {
-			q.Telemetry.Publish(telemetry.Event{
-				At: q.Node.Sched().Now(), Kind: telemetry.MemberJoin,
-				Router: q.Node.ID, Iface: in.Index, Epoch: q.epoch, Group: g,
-			})
+		if q.Telemetry() != nil {
+			q.Emit(telemetry.Event{Kind: telemetry.MemberJoin, Iface: in.Index, Group: g})
 		}
 		if q.OnJoin != nil {
 			q.OnJoin(in, g)
@@ -194,11 +163,8 @@ func (q *Querier) dropMember(in *netsim.Iface, g addr.IP) {
 	}
 	if _, had := byGroup[g]; had {
 		delete(byGroup, g)
-		if q.Telemetry != nil {
-			q.Telemetry.Publish(telemetry.Event{
-				At: q.Node.Sched().Now(), Kind: telemetry.MemberLeave,
-				Router: q.Node.ID, Iface: in.Index, Epoch: q.epoch, Group: g,
-			})
+		if q.Telemetry() != nil {
+			q.Emit(telemetry.Event{Kind: telemetry.MemberLeave, Iface: in.Index, Group: g})
 		}
 		if q.OnLeave != nil {
 			q.OnLeave(in, g)
@@ -207,16 +173,13 @@ func (q *Querier) dropMember(in *netsim.Iface, g addr.IP) {
 }
 
 func (q *Querier) expire() {
-	now := q.Node.Sched().Now()
+	now := q.Now()
 	for idx, byGroup := range q.members {
 		for g, deadline := range byGroup {
 			if now > deadline {
 				delete(byGroup, g)
-				if q.Telemetry != nil {
-					q.Telemetry.Publish(telemetry.Event{
-						At: now, Kind: telemetry.MemberLeave,
-						Router: q.Node.ID, Iface: idx, Epoch: q.epoch, Group: g,
-					})
+				if q.Telemetry() != nil {
+					q.Emit(telemetry.Event{Kind: telemetry.MemberLeave, Iface: idx, Group: g})
 				}
 				if q.OnLeave != nil && idx < len(q.Node.Ifaces) {
 					q.OnLeave(q.Node.Ifaces[idx], g)
@@ -234,7 +197,7 @@ func (q *Querier) HasMember(ifc *netsim.Iface, g addr.IP) bool {
 		return false
 	}
 	deadline, ok := byGroup[g]
-	return ok && q.Node.Sched().Now() <= deadline
+	return ok && q.Now() <= deadline
 }
 
 // HasAnyMember reports whether the group has a member on any interface.
@@ -251,7 +214,7 @@ func (q *Querier) HasAnyMember(g addr.IP) bool {
 func (q *Querier) Groups() []addr.IP {
 	seen := map[addr.IP]bool{}
 	var out []addr.IP
-	now := q.Node.Sched().Now()
+	now := q.Now()
 	for _, byGroup := range q.members {
 		for g, deadline := range byGroup {
 			if now <= deadline && !seen[g] {

@@ -21,6 +21,7 @@ import (
 	"slices"
 
 	"pim/internal/addr"
+	"pim/internal/engine"
 	"pim/internal/metrics"
 	"pim/internal/mfib"
 	"pim/internal/netsim"
@@ -163,9 +164,9 @@ type Router struct {
 	// LSA counts — of the existing overhead ledgers. Set before Start.
 	RefreshInterval netsim.Time
 
-	// Telemetry, when non-nil, receives LSA-flood, cache and lifecycle
-	// events. Set before Start; nil keeps every emit site a single branch.
-	Telemetry *telemetry.Bus
+	// Lifecycle carries the start/stop state, the epoch guard on every
+	// timer, and the telemetry bus (see internal/engine).
+	engine.Lifecycle
 
 	self int // index in the domain
 	// seq is this router's LSA sequence number. It survives Stop/Restart:
@@ -177,13 +178,8 @@ type Router struct {
 	// router stores (the §1.1 scaling cost).
 	membership map[uint32]map[addr.IP]bool
 	seqs       map[uint32]uint32
-	// localMembers[ifaceIndex][group] from IGMP.
-	localMembers map[int]map[addr.IP]bool
-
-	started bool
-	// epoch invalidates scheduled closures across Stop/Restart (see
-	// core.Router).
-	epoch uint64
+	// localMembers is the local membership from IGMP.
+	localMembers engine.Members
 
 	// enc/dec are the reusable LSA encode/decode scratches (DESIGN.md §13):
 	// valid only within one flood/handleLSA call.
@@ -195,27 +191,20 @@ type Router struct {
 func New(nd *netsim.Node, d *Domain) *Router {
 	return &Router{
 		Node: nd, Domain: d,
-		Metrics:      metrics.New(),
-		MFIB:         mfib.NewTable(),
-		self:         d.index[nd],
-		membership:   map[uint32]map[addr.IP]bool{},
-		seqs:         map[uint32]uint32{},
-		localMembers: map[int]map[addr.IP]bool{},
+		Lifecycle:  engine.New(nd),
+		Metrics:    metrics.New(),
+		MFIB:       mfib.NewTable(),
+		self:       d.index[nd],
+		membership: map[uint32]map[addr.IP]bool{},
+		seqs:       map[uint32]uint32{},
 	}
 }
 
 // Start registers handlers and, when RefreshInterval is set, begins
 // periodic LSA re-origination.
 func (r *Router) Start() {
-	if r.started {
+	if !r.Begin(r.StateCount()) {
 		return
-	}
-	r.started = true
-	if r.Telemetry != nil {
-		r.Telemetry.Publish(telemetry.Event{
-			At: r.Node.Sched().Now(), Kind: telemetry.EpochStart,
-			Router: r.Node.ID, Iface: -1, Epoch: r.epoch, Value: int64(r.StateCount()),
-		})
 	}
 	r.Node.Handle(packet.ProtoMOSPF, netsim.HandlerFunc(r.handleLSA))
 	r.Node.Handle(packet.ProtoUDP, netsim.HandlerFunc(r.handleData))
@@ -223,9 +212,9 @@ func (r *Router) Start() {
 		var refresh func()
 		refresh = func() {
 			r.originate()
-			r.after(r.RefreshInterval, refresh)
+			r.After(r.RefreshInterval, refresh)
 		}
-		r.after(0, refresh)
+		r.After(0, refresh)
 	}
 }
 
@@ -235,23 +224,15 @@ func (r *Router) Start() {
 // its field comment). The shared Domain Dijkstra cache is also dropped so
 // no tree computed with the dead router's membership view survives.
 func (r *Router) Stop() {
-	if !r.started {
+	if !r.End(0) {
 		return
 	}
-	r.started = false
-	if r.Telemetry != nil {
-		r.Telemetry.Publish(telemetry.Event{
-			At: r.Node.Sched().Now(), Kind: telemetry.EpochEnd,
-			Router: r.Node.ID, Iface: -1, Epoch: r.epoch,
-		})
-	}
-	r.epoch++
 	r.Node.Handle(packet.ProtoMOSPF, nil)
 	r.Node.Handle(packet.ProtoUDP, nil)
 	r.MFIB = mfib.NewTable()
 	r.membership = map[uint32]map[addr.IP]bool{}
 	r.seqs = map[uint32]uint32{}
-	r.localMembers = map[int]map[addr.IP]bool{}
+	r.localMembers.Reset()
 	r.Domain.sp = map[int]*topology.ShortestPaths{}
 }
 
@@ -260,23 +241,6 @@ func (r *Router) Stop() {
 func (r *Router) Restart() {
 	r.Stop()
 	r.Start()
-}
-
-// after schedules fn under the current epoch: a Stop/Restart before the
-// timer fires makes the closure a no-op.
-func (r *Router) after(d netsim.Time, fn func()) *netsim.Timer {
-	ep := r.epoch
-	return r.Node.Sched().After(d, func() {
-		if r.epoch == ep {
-			if r.Telemetry != nil {
-				r.Telemetry.Publish(telemetry.Event{
-					At: r.Node.Sched().Now(), Kind: telemetry.TimerFire,
-					Router: r.Node.ID, Iface: -1, Epoch: ep,
-				})
-			}
-			fn()
-		}
-	})
 }
 
 // StateCount returns forwarding cache entries plus stored membership rows —
@@ -302,41 +266,19 @@ func (r *Router) MembershipRows() int {
 
 // LocalJoin records a member and floods an updated membership LSA.
 func (r *Router) LocalJoin(ifc *netsim.Iface, g addr.IP) {
-	byGroup := r.localMembers[ifc.Index]
-	if byGroup == nil {
-		byGroup = map[addr.IP]bool{}
-		r.localMembers[ifc.Index] = byGroup
-	}
-	byGroup[g] = true
+	r.localMembers.Add(ifc.Index, g)
 	r.originate()
 }
 
 // LocalLeave removes a member and floods.
 func (r *Router) LocalLeave(ifc *netsim.Iface, g addr.IP) {
-	if byGroup := r.localMembers[ifc.Index]; byGroup != nil {
-		delete(byGroup, g)
-	}
+	r.localMembers.Remove(ifc.Index, g)
 	r.originate()
-}
-
-func (r *Router) localGroups() []addr.IP {
-	set := map[addr.IP]bool{}
-	for _, byGroup := range r.localMembers {
-		for g := range byGroup {
-			set[g] = true
-		}
-	}
-	out := make([]addr.IP, 0, len(set))
-	for g := range set {
-		out = append(out, g)
-	}
-	slices.Sort(out)
-	return out
 }
 
 func (r *Router) originate() {
 	r.seq++
-	lsa := &membershipLSA{Origin: uint32(r.self), Seq: r.seq, Groups: r.localGroups()}
+	lsa := &membershipLSA{Origin: uint32(r.self), Seq: r.seq, Groups: r.localMembers.Groups(nil)}
 	r.install(lsa)
 	r.flood(lsa, nil)
 }
@@ -365,12 +307,10 @@ func (r *Router) install(lsa *membershipLSA) {
 	r.membership[lsa.Origin] = groups
 	// Membership changed: drop cached trees (they will be recomputed on
 	// the next data packet) and any shared Dijkstra cache.
-	if r.Telemetry != nil {
-		now := r.Node.Sched().Now()
+	if r.Telemetry() != nil {
 		r.MFIB.ForEach(func(e *mfib.Entry) {
-			r.Telemetry.Publish(telemetry.Event{
-				At: now, Kind: telemetry.EntryExpire, Router: r.Node.ID,
-				Iface: -1, Epoch: r.epoch, Source: e.Key.Source, Group: e.Key.Group,
+			r.Emit(telemetry.Event{
+				Kind: telemetry.EntryExpire, Iface: -1, Source: e.Key.Source, Group: e.Key.Group,
 				Value: telemetry.EntrySG,
 			})
 		})
@@ -387,11 +327,9 @@ func (r *Router) flood(lsa *membershipLSA, except *netsim.Iface) {
 		}
 		r.Node.Send(ifc, r.enc.Packet(ifc.Addr, addr.AllRouters, packet.ProtoMOSPF, 1), 0)
 		r.Metrics.Inc(metrics.CtrlLSA)
-		if r.Telemetry != nil {
-			r.Telemetry.Publish(telemetry.Event{
-				At: r.Node.Sched().Now(), Kind: telemetry.LSAFlood,
-				Router: r.Node.ID, Iface: ifc.Index, Epoch: r.epoch,
-				Value: int64(len(lsa.Groups)),
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{
+				Kind: telemetry.LSAFlood, Iface: ifc.Index, Value: int64(len(lsa.Groups)),
 			})
 		}
 	}
@@ -406,14 +344,7 @@ func (r *Router) memberRouters(g addr.IP) []int {
 			out = append(out, int(origin))
 		}
 	}
-	has := false
-	for _, byGroup := range r.localMembers {
-		if byGroup[g] {
-			has = true
-			break
-		}
-	}
-	if has {
+	if r.localMembers.Any(g) {
 		found := false
 		for _, o := range out {
 			if o == r.self {
@@ -441,11 +372,9 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		e = r.computeEntry(s, g)
 		if e == nil {
 			r.Metrics.Inc(metrics.DataNoState)
-			if r.Telemetry != nil {
-				r.Telemetry.Publish(telemetry.Event{
-					At: r.Node.Sched().Now(), Kind: telemetry.NoState,
-					Router: r.Node.ID, Iface: in.Index, Epoch: r.epoch,
-					Source: s, Group: g,
+			if r.Telemetry() != nil {
+				r.Emit(telemetry.Event{
+					Kind: telemetry.NoState, Iface: in.Index, Source: s, Group: g,
 				})
 			}
 			return
@@ -454,16 +383,12 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 	srcLocal := in.Addr != 0 && unicast.LinkPrefix(in.Addr).Contains(s)
 	if e.IIF != nil && in != e.IIF && !srcLocal {
 		r.Metrics.Inc(metrics.DataDropped)
-		if r.Telemetry != nil {
-			r.Telemetry.Publish(telemetry.Event{
-				At: r.Node.Sched().Now(), Kind: telemetry.RPFDrop,
-				Router: r.Node.ID, Iface: in.Index, Epoch: r.epoch,
-				Source: s, Group: g,
-			})
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{Kind: telemetry.RPFDrop, Iface: in.Index, Source: s, Group: g})
 		}
 		return
 	}
-	now := r.Node.Sched().Now()
+	now := r.Now()
 	fwd, ok := pkt.Forwarded()
 	if !ok {
 		return
@@ -471,10 +396,9 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 	for _, out := range e.ForwardOIFs(now, in) {
 		r.Node.Send(out, fwd, 0)
 		r.Metrics.Inc(metrics.DataForwarded)
-		if r.Telemetry != nil {
-			r.Telemetry.Publish(telemetry.Event{
-				At: now, Kind: telemetry.DataForward, Router: r.Node.ID,
-				Iface: out.Index, Epoch: r.epoch, Source: s, Group: g,
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{
+				Kind: telemetry.DataForward, Iface: out.Index, Source: s, Group: g,
 			})
 		}
 	}
@@ -491,12 +415,11 @@ func (r *Router) computeEntry(s, g addr.IP) *mfib.Entry {
 	if len(members) == 0 {
 		// Negative cache: remember that this source/group pair has no
 		// members so each packet does not recompute.
-		e, created := r.MFIB.Upsert(mfib.Key{Source: s, Group: g}, r.Node.Sched().Now())
-		if created && r.Telemetry != nil {
-			r.Telemetry.Publish(telemetry.Event{
-				At: r.Node.Sched().Now(), Kind: telemetry.EntryCreate,
-				Router: r.Node.ID, Iface: -1, Epoch: r.epoch,
-				Source: s, Group: g, Value: telemetry.EntrySG,
+		e, created := r.MFIB.Upsert(mfib.Key{Source: s, Group: g}, r.Now())
+		if created && r.Telemetry() != nil {
+			r.Emit(telemetry.Event{
+				Kind: telemetry.EntryCreate, Iface: -1, Source: s, Group: g,
+				Value: telemetry.EntrySG,
 			})
 		}
 		return e
@@ -508,12 +431,11 @@ func (r *Router) computeEntry(s, g addr.IP) *mfib.Entry {
 		r.Metrics.Inc(metrics.SPFRuns)
 	}
 	tree := r.Domain.Graph.SPTreeFromSP(sp, members)
-	now := r.Node.Sched().Now()
+	now := r.Now()
 	e, created := r.MFIB.Upsert(mfib.Key{Source: s, Group: g}, now)
-	if created && r.Telemetry != nil {
-		r.Telemetry.Publish(telemetry.Event{
-			At: now, Kind: telemetry.EntryCreate, Router: r.Node.ID,
-			Iface: -1, Epoch: r.epoch, Source: s, Group: g, Value: telemetry.EntrySG,
+	if created && r.Telemetry() != nil {
+		r.Emit(telemetry.Event{
+			Kind: telemetry.EntryCreate, Iface: -1, Source: s, Group: g, Value: telemetry.EntrySG,
 		})
 	}
 	if !tree.InTree[r.self] {
@@ -530,9 +452,9 @@ func (r *Router) computeEntry(s, g addr.IP) *mfib.Entry {
 		}
 	}
 	// Local member LANs.
-	for idx, byGroup := range r.localMembers {
-		if byGroup[g] {
-			e.AddLocalOIF(r.Node.Ifaces[idx])
+	for _, ifc := range r.Node.Ifaces {
+		if r.localMembers.Has(ifc.Index, g) {
+			e.AddLocalOIF(ifc)
 		}
 	}
 	return e

@@ -15,6 +15,7 @@ import (
 	"slices"
 
 	"pim/internal/addr"
+	"pim/internal/engine"
 	"pim/internal/metrics"
 	"pim/internal/mfib"
 	"pim/internal/netsim"
@@ -45,9 +46,6 @@ type Config struct {
 	// advertisements the border seeds, stay inside the region (§4
 	// interoperation).
 	Scope func(*netsim.Iface) bool
-	// Telemetry, when non-nil, receives structured events for every state
-	// transition (see internal/telemetry).
-	Telemetry *telemetry.Bus
 }
 
 // Defaults.
@@ -68,16 +66,16 @@ type Router struct {
 	MFIB    *mfib.Table
 	Metrics *metrics.Counters
 
-	// tel is the telemetry bus from Config.Telemetry; nil disables all
-	// publication.
-	tel *telemetry.Bus
+	// Lifecycle carries the start/stop state, the epoch guard on every
+	// timer, and the telemetry bus (see internal/engine).
+	engine.Lifecycle
 
 	// rpfc memoizes per-packet reverse-path lookups (dense mode RPF-checks
 	// every data packet), invalidated by unicast table generation.
 	rpfc *rpf.Cache
 
-	neighbors      map[int]map[addr.IP]netsim.Time
-	members        map[int]map[addr.IP]bool
+	neighbors      engine.Neighbors
+	members        engine.Members
 	prunedUpstream map[mfib.Key]bool
 	// assertLoser[key][ifaceIndex] marks interfaces we lost an assert on.
 	assertLoser map[mfib.Key]map[int]bool
@@ -93,12 +91,6 @@ type Router struct {
 	jpDec    pimmsg.JoinPrune
 	adGroups []addr.IP
 	adMsg    pimmsg.MemberAd
-
-	started bool
-	// epoch invalidates scheduled closures across Stop/Restart (see
-	// core.Router): timer bodies fire only under the epoch they were
-	// scheduled in.
-	epoch uint64
 
 	// Member-existence advertisement state (§4 dense/sparse interop): the
 	// groups a region router has members for reach the border routers, so
@@ -140,12 +132,10 @@ func New(nd *netsim.Node, cfg Config, uni unicast.Router) *Router {
 	}
 	return &Router{
 		Node: nd, Cfg: cfg, Unicast: uni,
-		tel:            cfg.Telemetry,
+		Lifecycle:      engine.New(nd),
 		rpfc:           rpf.New(uni),
 		MFIB:           mfib.NewTable(),
 		Metrics:        metrics.New(),
-		neighbors:      map[int]map[addr.IP]netsim.Time{},
-		members:        map[int]map[addr.IP]bool{},
 		prunedUpstream: map[mfib.Key]bool{},
 		assertLoser:    map[mfib.Key]map[int]bool{},
 		pendingGrafts:  map[mfib.Key]*pendingGraft{},
@@ -163,27 +153,20 @@ func (r *Router) inScope(ifc *netsim.Iface) bool {
 
 // Start registers handlers and begins querying.
 func (r *Router) Start() {
-	if r.started {
+	if !r.Begin(r.MFIB.Len()) {
 		return
-	}
-	r.started = true
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EpochStart, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Value: int64(r.MFIB.Len()),
-		})
 	}
 	r.Node.Handle(packet.ProtoPIM, netsim.HandlerFunc(r.handlePIM))
 	r.Node.Handle(packet.ProtoUDP, netsim.HandlerFunc(r.handleData))
 	var query func()
 	query = func() {
-		r.expireNeighbors()
+		r.neighbors.Expire(r.Now(), nil)
 		r.expireMemberAds()
 		r.sendQueries()
 		r.originateMemberAd()
-		r.after(r.Cfg.QueryInterval, query)
+		r.After(r.Cfg.QueryInterval, query)
 	}
-	r.after(0, query)
+	r.After(0, query)
 }
 
 // Stop detaches the router and discards all soft state: forwarding entries,
@@ -193,17 +176,9 @@ func (r *Router) Start() {
 // survives — peers compare it with signed wraparound and would discard a
 // restarted router's advertisements if it restarted from zero.
 func (r *Router) Stop() {
-	if !r.started {
+	if !r.End(r.MFIB.Len()) {
 		return
 	}
-	r.started = false
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.EpochEnd, Router: r.Node.ID, Iface: -1,
-			Epoch: r.epoch, Value: int64(r.MFIB.Len()),
-		})
-	}
-	r.epoch++
 	r.Node.Handle(packet.ProtoPIM, nil)
 	r.Node.Handle(packet.ProtoUDP, nil)
 	for _, p := range r.pendingGrafts {
@@ -211,8 +186,8 @@ func (r *Router) Stop() {
 	}
 	r.rpfc = rpf.New(r.Unicast)
 	r.MFIB = mfib.NewTable()
-	r.neighbors = map[int]map[addr.IP]netsim.Time{}
-	r.members = map[int]map[addr.IP]bool{}
+	r.neighbors.Reset()
+	r.members.Reset()
 	r.prunedUpstream = map[mfib.Key]bool{}
 	r.assertLoser = map[mfib.Key]map[int]bool{}
 	r.pendingGrafts = map[mfib.Key]*pendingGraft{}
@@ -231,55 +206,18 @@ func (r *Router) Restart() {
 	r.Start()
 }
 
-// after schedules fn under the current epoch: a Stop/Restart before the
-// timer fires makes the closure a no-op.
-func (r *Router) after(d netsim.Time, fn func()) *netsim.Timer {
-	ep := r.epoch
-	return r.Node.Sched().After(d, func() {
-		if r.epoch == ep {
-			// Published past the epoch guard so the event records a timer
-			// body that actually ran (see core.Router.after).
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: r.now(), Kind: telemetry.TimerFire, Router: r.Node.ID,
-					Iface: -1, Epoch: ep,
-				})
-			}
-			fn()
-		}
-	})
-}
-
-func (r *Router) now() netsim.Time { return r.Node.Sched().Now() }
-
 // StateCount returns the number of forwarding entries.
 func (r *Router) StateCount() int { return r.MFIB.Len() }
 
 // NeighborCount returns the number of live PIM neighbor entries across all
 // interfaces — the recovery tests' stale-neighbor probe.
-func (r *Router) NeighborCount() int {
-	now := r.now()
-	n := 0
-	for _, byAddr := range r.neighbors {
-		for _, deadline := range byAddr {
-			if now <= deadline {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (r *Router) NeighborCount() int { return r.neighbors.Count(r.Now()) }
 
 // --- Membership ---
 
 // LocalJoin records a member and grafts pruned branches back.
 func (r *Router) LocalJoin(ifc *netsim.Iface, g addr.IP) {
-	byGroup := r.members[ifc.Index]
-	if byGroup == nil {
-		byGroup = map[addr.IP]bool{}
-		r.members[ifc.Index] = byGroup
-	}
-	byGroup[g] = true
+	r.members.Add(ifc.Index, g)
 	r.MFIB.ForGroup(g, func(e *mfib.Entry) {
 		e.AddLocalOIF(ifc)
 		if r.prunedUpstream[e.Key] {
@@ -293,10 +231,8 @@ func (r *Router) LocalJoin(ifc *netsim.Iface, g addr.IP) {
 
 // LocalLeave removes a member; empty branches prune upstream.
 func (r *Router) LocalLeave(ifc *netsim.Iface, g addr.IP) {
-	if byGroup := r.members[ifc.Index]; byGroup != nil {
-		delete(byGroup, g)
-	}
-	now := r.now()
+	r.members.Remove(ifc.Index, g)
+	now := r.Now()
 	r.MFIB.ForGroup(g, func(e *mfib.Entry) {
 		if o := e.OIF(ifc.Index); o != nil && o.LocalMember {
 			o.LocalMember = false
@@ -309,11 +245,6 @@ func (r *Router) LocalLeave(ifc *netsim.Iface, g addr.IP) {
 	})
 	r.originateMemberAd()
 	r.recomputeRegionPresence()
-}
-
-func (r *Router) hasMember(ifc *netsim.Iface, g addr.IP) bool {
-	byGroup := r.members[ifc.Index]
-	return byGroup != nil && byGroup[g]
 }
 
 // --- Neighbor discovery ---
@@ -331,27 +262,6 @@ func (r *Router) sendQueries() {
 	}
 }
 
-func (r *Router) expireNeighbors() {
-	now := r.now()
-	for _, byAddr := range r.neighbors {
-		for a, deadline := range byAddr {
-			if now > deadline {
-				delete(byAddr, a)
-			}
-		}
-	}
-}
-
-func (r *Router) isLeaf(ifc *netsim.Iface) bool {
-	now := r.now()
-	for _, deadline := range r.neighbors[ifc.Index] {
-		if now <= deadline {
-			return false
-		}
-	}
-	return true
-}
-
 // neighborUp re-evaluates existing (S,G) entries when an adjacency forms on
 // ifc. Without this, a restarted transit router that saw data before its
 // downstream neighbor's first hello builds entries with ifc leaf-classified
@@ -365,7 +275,7 @@ func (r *Router) neighborUp(ifc *netsim.Iface) {
 	if !ifc.Up() || ifc.Addr == 0 || !r.inScope(ifc) {
 		return
 	}
-	now := r.now()
+	now := r.Now()
 	r.MFIB.ForEach(func(e *mfib.Entry) {
 		if e.Wildcard || e.Key.RPBit {
 			return
@@ -400,15 +310,8 @@ func (r *Router) handlePIM(in *netsim.Iface, pkt *packet.Packet) {
 		if err := pimmsg.UnmarshalQueryInto(&q, body); err != nil {
 			return
 		}
-		byAddr := r.neighbors[in.Index]
-		if byAddr == nil {
-			byAddr = map[addr.IP]netsim.Time{}
-			r.neighbors[in.Index] = byAddr
-		}
-		deadline, known := byAddr[pkt.Src]
-		fresh := !known || r.now() > deadline
-		byAddr[pkt.Src] = r.now() + netsim.Time(q.HoldTime)*netsim.Second
-		if fresh {
+		now := r.Now()
+		if _, live := r.neighbors.Hear(in.Index, pkt.Src, now, now+netsim.Time(q.HoldTime)*netsim.Second); !live {
 			r.neighborUp(in)
 		}
 	case pimmsg.TypeJoinPrune:
@@ -426,21 +329,11 @@ func (r *Router) handlePIM(in *netsim.Iface, pkt *packet.Packet) {
 
 // --- Member-existence advertisements (§4 interop) ---
 
+// localGroups returns the groups with local members, sorted, in the reusable
+// adGroups buffer: the warm advertisement path allocates nothing.
 func (r *Router) localGroups() []addr.IP {
-	// Collect into the reusable buffer, then sort+compact to dedupe across
-	// interfaces: the warm advertisement path allocates nothing.
-	out := r.adGroups[:0]
-	for _, byGroup := range r.members {
-		for g, ok := range byGroup {
-			if ok {
-				out = append(out, g)
-			}
-		}
-	}
-	slices.Sort(out)
-	out = slices.Compact(out)
-	r.adGroups = out
-	return out
+	r.adGroups = r.members.Groups(r.adGroups)
+	return r.adGroups
 }
 
 // advertises reports whether this router originates member advertisements:
@@ -468,7 +361,7 @@ func (r *Router) handleMemberAd(in *netsim.Iface, body []byte) {
 		return
 	}
 	r.adSeqs[ad.Origin] = ad.Seq
-	r.adSeen[ad.Origin] = r.now()
+	r.adSeen[ad.Origin] = r.Now()
 	groups := map[addr.IP]bool{}
 	for _, g := range ad.Groups {
 		groups[g] = true
@@ -501,7 +394,7 @@ func (r *Router) floodMemberAd(ad *pimmsg.MemberAd, except *netsim.Iface) {
 // (soft state: a crashed member router must not pin the border to the
 // sparse tree forever).
 func (r *Router) expireMemberAds() {
-	now := r.now()
+	now := r.Now()
 	changed := false
 	for origin, seen := range r.adSeen {
 		if now-seen > 3*r.Cfg.QueryInterval {
@@ -519,10 +412,8 @@ func (r *Router) expireMemberAds() {
 // RegionHasMembers reports whether any router in the region (including this
 // one) has advertised local members for g.
 func (r *Router) RegionHasMembers(g addr.IP) bool {
-	for _, byGroup := range r.members {
-		if byGroup[g] {
-			return true
-		}
+	if r.members.Any(g) {
+		return true
 	}
 	for _, groups := range r.regionAds {
 		if groups[g] {
@@ -539,12 +430,8 @@ func (r *Router) recomputeRegionPresence() {
 		return
 	}
 	seen := map[addr.IP]bool{}
-	for _, byGroup := range r.members {
-		for g, ok := range byGroup {
-			if ok {
-				seen[g] = true
-			}
-		}
+	for _, g := range r.localGroups() {
+		seen[g] = true
 	}
 	for _, groups := range r.regionAds {
 		for g := range groups {
@@ -594,7 +481,7 @@ func (r *Router) handleJoinPrune(in *netsim.Iface, body []byte) {
 				r.schedulePrune(e, in, grp.Group)
 			} else if in.Link != nil && in.Link.IsLAN() {
 				// Overheard on the LAN: override if we still depend on it.
-				if e.IIF == in && !e.OIFEmpty(r.now()) {
+				if e.IIF == in && !e.OIFEmpty(r.Now()) {
 					r.sendJoinOverride(in, m.UpstreamNeighbor, grp.Group, a.Addr)
 				}
 			}
@@ -611,13 +498,13 @@ func (r *Router) handleJoinPrune(in *netsim.Iface, body []byte) {
 }
 
 func (r *Router) schedulePrune(e *mfib.Entry, in *netsim.Iface, g addr.IP) {
-	if r.hasMember(in, g) {
+	if r.members.Has(in.Index, g) {
 		return
 	}
 	key := e.Key
 	apply := func(cur *mfib.Entry) {
 		cur.RemoveOIF(in)
-		r.after(r.Cfg.PruneHoldTime, func() {
+		r.After(r.Cfg.PruneHoldTime, func() {
 			// Grow back.
 			if c := r.MFIB.Get(key); c != nil && in.Up() && !r.assertLoser[key][in.Index] {
 				c.AddOIF(in, infiniteExpiry)
@@ -632,18 +519,18 @@ func (r *Router) schedulePrune(e *mfib.Entry, in *netsim.Iface, g addr.IP) {
 			return
 		}
 		o.PrunePending = true
-		o.PruneDeadline = r.now() + r.Cfg.PruneOverrideDelay
+		o.PruneDeadline = r.Now() + r.Cfg.PruneOverrideDelay
 		e.Touch()
 		// Re-look the entry up at fire time: entry/oif pointers must not be
 		// held across the delay (the entry may be re-created), and a join
 		// override in the window clears PrunePending, cancelling the prune.
 		life := e.Life()
-		r.after(r.Cfg.PruneOverrideDelay, func() {
+		r.After(r.Cfg.PruneOverrideDelay, func() {
 			cur := r.MFIB.Get(key)
 			if cur == nil || cur.Life() != life {
 				return
 			}
-			if co := cur.OIF(in.Index); co != nil && co.PrunePending && r.now() >= co.PruneDeadline {
+			if co := cur.OIF(in.Index); co != nil && co.PrunePending && r.Now() >= co.PruneDeadline {
 				apply(cur)
 			}
 		})
@@ -662,10 +549,9 @@ func (r *Router) sendJoinOverride(out *netsim.Iface, upstream, g, s addr.IP) {
 	r.enc.Buf = m.MarshalTo(r.enc.Buf)
 	r.Node.Send(out, r.enc.Packet(out.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
 	r.Metrics.Inc(metrics.CtrlJoinPrune)
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.JoinPruneSend, Router: r.Node.ID,
-			Iface: out.Index, Epoch: r.epoch, Source: s, Group: g, Value: 1,
+	if r.Telemetry() != nil {
+		r.Emit(telemetry.Event{
+			Kind: telemetry.JoinPruneSend, Iface: out.Index, Source: s, Group: g, Value: 1,
 		})
 	}
 }
@@ -725,11 +611,9 @@ func (r *Router) transmitGraft(e *mfib.Entry) bool {
 	r.enc.Buf = m.MarshalTo(r.enc.Buf)
 	r.Node.Send(e.IIF, r.enc.Packet(e.IIF.Addr, e.UpstreamNeighbor, packet.ProtoPIM, 1), e.UpstreamNeighbor)
 	r.Metrics.Inc(metrics.CtrlGraft)
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.GraftSend, Router: r.Node.ID,
-			Iface: e.IIF.Index, Epoch: r.epoch,
-			Source: e.Key.Source, Group: e.Key.Group,
+	if r.Telemetry() != nil {
+		r.Emit(telemetry.Event{
+			Kind: telemetry.GraftSend, Iface: e.IIF.Index, Source: e.Key.Source, Group: e.Key.Group,
 		})
 	}
 	return true
@@ -740,12 +624,12 @@ func (r *Router) armGraftRetry(key mfib.Key, backoff netsim.Time) {
 		prev.timer.Stop()
 	}
 	p := &pendingGraft{backoff: backoff}
-	p.timer = r.after(backoff, func() {
+	p.timer = r.After(backoff, func() {
 		if r.pendingGrafts[key] != p {
 			return
 		}
 		e := r.MFIB.Get(key)
-		if e == nil || e.OIFEmpty(r.now()) {
+		if e == nil || e.OIFEmpty(r.Now()) {
 			delete(r.pendingGrafts, key)
 			return
 		}
@@ -781,7 +665,7 @@ func (r *Router) handleGraftAck(in *netsim.Iface, body []byte) {
 }
 
 func (r *Router) maybePruneUpstream(e *mfib.Entry) {
-	if !e.OIFEmpty(r.now()) || r.prunedUpstream[e.Key] {
+	if !e.OIFEmpty(r.Now()) || r.prunedUpstream[e.Key] {
 		return
 	}
 	if r.ExternalInterest != nil && r.ExternalInterest(e.Key.Source, e.Key.Group) {
@@ -802,16 +686,14 @@ func (r *Router) maybePruneUpstream(e *mfib.Entry) {
 	r.enc.Buf = m.MarshalTo(r.enc.Buf)
 	r.Node.Send(e.IIF, r.enc.Packet(e.IIF.Addr, addr.AllRouters, packet.ProtoPIM, 1), 0)
 	r.Metrics.Inc(metrics.CtrlPrune)
-	if r.tel != nil {
-		r.tel.Publish(telemetry.Event{
-			At: r.now(), Kind: telemetry.PruneSend, Router: r.Node.ID,
-			Iface: e.IIF.Index, Epoch: r.epoch,
-			Source: e.Key.Source, Group: e.Key.Group,
+	if r.Telemetry() != nil {
+		r.Emit(telemetry.Event{
+			Kind: telemetry.PruneSend, Iface: e.IIF.Index, Source: e.Key.Source, Group: e.Key.Group,
 		})
 	}
 	r.prunedUpstream[e.Key] = true
 	key := e.Key
-	r.after(r.Cfg.PruneHoldTime, func() {
+	r.After(r.Cfg.PruneHoldTime, func() {
 		delete(r.prunedUpstream, key)
 	})
 }
@@ -831,7 +713,7 @@ func (r *Router) handleAssert(in *netsim.Iface, from addr.IP, body []byte) {
 		return
 	}
 	o := e.OIF(in.Index)
-	if o == nil || !o.Live(r.now()) {
+	if o == nil || !o.Live(r.Now()) {
 		return
 	}
 	my := r.metricTo(a.Source)
@@ -843,7 +725,7 @@ func (r *Router) handleAssert(in *netsim.Iface, from addr.IP, body []byte) {
 			r.assertLoser[key] = map[int]bool{}
 		}
 		r.assertLoser[key][in.Index] = true
-		r.after(r.Cfg.PruneHoldTime, func() {
+		r.After(r.Cfg.PruneHoldTime, func() {
 			delete(r.assertLoser[key], in.Index)
 		})
 	}
@@ -873,7 +755,7 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		return
 	}
 	s := pkt.Src
-	now := r.now()
+	now := r.Now()
 	srcLocal := in.Addr != 0 && unicast.LinkPrefix(in.Addr).Contains(s)
 	var iif *netsim.Iface
 	var upstream addr.IP
@@ -881,10 +763,9 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		rt, ok := r.rpfc.Lookup(s)
 		if !ok {
 			r.Metrics.Inc(metrics.DataDropped)
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: now, Kind: telemetry.NoState, Router: r.Node.ID,
-					Iface: in.Index, Epoch: r.epoch, Source: s, Group: g,
+			if r.Telemetry() != nil {
+				r.Emit(telemetry.Event{
+					Kind: telemetry.NoState, Iface: in.Index, Source: s, Group: g,
 				})
 			}
 			return
@@ -898,10 +779,9 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 				r.sendAssert(in, s, g)
 			}
 			r.Metrics.Inc(metrics.DataDropped)
-			if r.tel != nil {
-				r.tel.Publish(telemetry.Event{
-					At: now, Kind: telemetry.RPFDrop, Router: r.Node.ID,
-					Iface: in.Index, Epoch: r.epoch, Source: s, Group: g,
+			if r.Telemetry() != nil {
+				r.Emit(telemetry.Event{
+					Kind: telemetry.RPFDrop, Iface: in.Index, Source: s, Group: g,
 				})
 			}
 			return
@@ -916,15 +796,14 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 		if srcLocal {
 			e.UpstreamNeighbor = 0
 		}
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: now, Kind: telemetry.EntryCreate, Router: r.Node.ID, Iface: -1,
-				Epoch: r.epoch, Source: s, Group: g, Value: telemetry.EntrySG,
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{
+				Kind: telemetry.EntryCreate, Iface: -1, Source: s, Group: g,
+				Value: telemetry.EntrySG,
 			})
 			if !srcLocal {
-				r.tel.Publish(telemetry.Event{
-					At: now, Kind: telemetry.IIFSet, Router: r.Node.ID,
-					Iface: iif.Index, Epoch: r.epoch, Source: s, Group: g,
+				r.Emit(telemetry.Event{
+					Kind: telemetry.IIFSet, Iface: iif.Index, Source: s, Group: g,
 					Value: telemetry.EntrySG,
 				})
 			}
@@ -933,8 +812,8 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 			if ifc == in || !ifc.Up() || ifc.Addr == 0 || !r.inScope(ifc) {
 				continue
 			}
-			if r.isLeaf(ifc) {
-				if r.hasMember(ifc, g) {
+			if r.neighbors.Leaf(ifc.Index, now) {
+				if r.members.Has(ifc.Index, g) {
 					e.AddLocalOIF(ifc)
 				}
 				continue
@@ -954,10 +833,9 @@ func (r *Router) handleData(in *netsim.Iface, pkt *packet.Packet) {
 	for _, out := range oifs {
 		r.Node.Send(out, fwd, 0)
 		r.Metrics.Inc(metrics.DataForwarded)
-		if r.tel != nil {
-			r.tel.Publish(telemetry.Event{
-				At: now, Kind: telemetry.DataForward, Router: r.Node.ID,
-				Iface: out.Index, Epoch: r.epoch, Source: s, Group: g,
+		if r.Telemetry() != nil {
+			r.Emit(telemetry.Event{
+				Kind: telemetry.DataForward, Iface: out.Index, Source: s, Group: g,
 			})
 		}
 	}

@@ -3,26 +3,13 @@ package scenario
 import (
 	"pim/internal/cbt"
 	"pim/internal/dvmrp"
-	"pim/internal/igmp"
 	"pim/internal/mospf"
 	"pim/internal/pimdm"
 )
 
 // DVMRPDeployment is a DVMRP baseline instance on every router of a Sim.
 type DVMRPDeployment struct {
-	deploymentBase
-	Sim      *Sim
-	Routers  []*dvmrp.Router
-	Queriers []*igmp.Querier
-}
-
-// TotalState sums forwarding entries across all routers.
-func (d *DVMRPDeployment) TotalState() int {
-	total := 0
-	for _, r := range d.Routers {
-		total += r.StateCount()
-	}
-	return total
+	EngineDeployment[*dvmrp.Router]
 }
 
 // StateBytes sums the MFIB memory footprint across all routers.
@@ -35,55 +22,18 @@ func (d *DVMRPDeployment) StateBytes() int64 {
 }
 
 // CBTDeployment is a CBT baseline instance on every router of a Sim.
-type CBTDeployment struct {
-	deploymentBase
-	Sim      *Sim
-	Routers  []*cbt.Router
-	Queriers []*igmp.Querier
-}
+type CBTDeployment = EngineDeployment[*cbt.Router]
 
-// TotalState sums per-group tree entries across all routers.
-func (d *CBTDeployment) TotalState() int {
-	total := 0
-	for _, r := range d.Routers {
-		total += r.StateCount()
-	}
-	return total
-}
-
-// MOSPFDeployment is an MOSPF baseline instance on every router of a Sim.
+// MOSPFDeployment is an MOSPF baseline instance on every router of a Sim,
+// sharing one link-state Domain.
 type MOSPFDeployment struct {
-	deploymentBase
-	Sim      *Sim
-	Domain   *mospf.Domain
-	Routers  []*mospf.Router
-	Queriers []*igmp.Querier
-}
-
-// TotalState sums cache entries and stored membership rows.
-func (d *MOSPFDeployment) TotalState() int {
-	total := 0
-	for _, r := range d.Routers {
-		total += r.StateCount()
-	}
-	return total
+	EngineDeployment[*mospf.Router]
+	Domain *mospf.Domain
 }
 
 // PIMDMDeployment is a PIM dense-mode instance on every router of a Sim.
 type PIMDMDeployment struct {
-	deploymentBase
-	Sim      *Sim
-	Routers  []*pimdm.Router
-	Queriers []*igmp.Querier
-}
-
-// TotalState sums forwarding entries across all routers.
-func (d *PIMDMDeployment) TotalState() int {
-	total := 0
-	for _, r := range d.Routers {
-		total += r.StateCount()
-	}
-	return total
+	EngineDeployment[*pimdm.Router]
 }
 
 // StateBytes sums the MFIB memory footprint across all routers.

@@ -1,9 +1,6 @@
 package scenario
 
 import (
-	"cmp"
-	"slices"
-
 	"pim/internal/addr"
 	"pim/internal/cbt"
 	"pim/internal/core"
@@ -173,47 +170,6 @@ func WithMOSPFRefresh(d netsim.Time) DeployOption {
 	return func(o *DeployOptions) { o.MOSPFRefresh = d }
 }
 
-// deploymentBase carries the telemetry plumbing every deployment shares.
-type deploymentBase struct {
-	bus      *telemetry.Bus
-	lanes    []*telemetry.Bus
-	checkers []*telemetry.Checker
-}
-
-// Telemetry returns the event bus the deployment publishes to (nil when the
-// deployment runs on the zero-cost disabled path or on per-shard lanes).
-func (b *deploymentBase) Telemetry() *telemetry.Bus { return b.bus }
-
-// TelemetryLanes returns the per-shard buses (nil unless deployed with
-// WithShardTelemetry).
-func (b *deploymentBase) TelemetryLanes() []*telemetry.Bus { return b.lanes }
-
-// Checker returns the online invariant checker (nil unless enabled; nil for
-// per-shard-lane deployments, which carry one checker per lane — see
-// Violations for the aggregate).
-func (b *deploymentBase) Checker() *telemetry.Checker {
-	if len(b.checkers) == 1 {
-		return b.checkers[0]
-	}
-	return nil
-}
-
-// Violations aggregates every checker's failed invariants (one checker per
-// telemetry lane when sharded), merged into simulated-time order.
-func (b *deploymentBase) Violations() []telemetry.Violation {
-	var all []telemetry.Violation
-	for _, c := range b.checkers {
-		all = append(all, c.Violations()...)
-	}
-	slices.SortStableFunc(all, func(x, y telemetry.Violation) int {
-		if x.At != y.At {
-			return cmp.Compare(x.At, y.At)
-		}
-		return cmp.Compare(x.Router, y.Router)
-	})
-	return all
-}
-
 // Deploy starts the chosen multicast protocol plus IGMP on every router of
 // the simulation. Call after FinishUnicast (and after convergence for DV/LS
 // modes); MOSPFMode carries its own topology view and needs neither.
@@ -225,20 +181,6 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 	o := &DeployOptions{}
 	for _, fn := range opts {
 		fn(o)
-	}
-	// A bus handed in through a raw engine config (legacy style) still
-	// becomes the deployment-wide bus.
-	if o.Telemetry == nil {
-		switch p {
-		case SparseMode:
-			o.Telemetry = o.Core.Telemetry
-		case DenseMode:
-			o.Telemetry = o.Dense.Telemetry
-		case DVMRPMode:
-			o.Telemetry = o.DVMRP.Telemetry
-		case CBTMode:
-			o.Telemetry = o.CBT.Telemetry
-		}
 	}
 	if o.ShardTelemetry != nil && s.Net.Sharded() && len(o.ShardTelemetry) < s.Net.ShardCount() {
 		panic("scenario: fewer telemetry lanes than shards")
@@ -288,7 +230,12 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 	var dep Deployment
 	switch p {
 	case SparseMode:
-		d := s.deploySparse(o)
+		d := &PIMDeployment{deployEngines(s, o, chks, func(i int, nd *netsim.Node) *core.Router {
+			return core.New(nd, o.Core, s.UnicastFor(i))
+		})}
+		for i, q := range d.Queriers {
+			q.OnRPMap = d.Routers[i].LearnRPMap
+		}
 		routers := d.Routers
 		for _, chk := range chks {
 			chk.NegativeCached = func(router int, src, g addr.IP, iface int) bool {
@@ -302,24 +249,35 @@ func (s *Sim) Deploy(p Protocol, opts ...DeployOption) Deployment {
 				return oif != nil && oif.Live(now) && !oif.PrunePending
 			}
 		}
-		d.checkers = chks
 		dep = d
 	case DenseMode:
-		d := s.deployDense(o)
-		d.checkers = chks
-		dep = d
+		dep = &PIMDMDeployment{deployEngines(s, o, chks, func(i int, nd *netsim.Node) *pimdm.Router {
+			return pimdm.New(nd, o.Dense, s.UnicastFor(i))
+		})}
 	case DVMRPMode:
-		d := s.deployDVMRP(o)
-		d.checkers = chks
-		dep = d
+		dep = &DVMRPDeployment{deployEngines(s, o, chks, func(i int, nd *netsim.Node) *dvmrp.Router {
+			return dvmrp.New(nd, o.DVMRP, s.UnicastFor(i))
+		})}
 	case CBTMode:
-		d := s.deployCBT(o)
-		d.checkers = chks
-		dep = d
+		d := deployEngines(s, o, chks, func(i int, nd *netsim.Node) *cbt.Router {
+			return cbt.New(nd, o.CBT, s.UnicastFor(i))
+		})
+		dep = &d
 	case MOSPFMode:
-		d := s.deployMOSPF(o)
-		d.checkers = chks
-		dep = d
+		if s.Net.Sharded() {
+			// MOSPF routers flood through a shared in-memory Domain whose
+			// state is mutated synchronously from every router — racy and
+			// order-sensitive across concurrently executing shards.
+			panic("scenario: MOSPF requires an unsharded network (shards=1)")
+		}
+		// MOSPF carries its own topology view (the shared Domain), so
+		// FinishUnicast is not required.
+		dom := mospf.NewDomain(s.Routers)
+		dep = &MOSPFDeployment{deployEngines(s, o, chks, func(_ int, nd *netsim.Node) *mospf.Router {
+			r := mospf.New(nd, dom)
+			r.RefreshInterval = o.MOSPFRefresh
+			return r
+		}), dom}
 	default:
 		panic("scenario: unknown protocol")
 	}
@@ -346,7 +304,7 @@ func (s *Sim) newQuerier(nd *netsim.Node, o *DeployOptions) *igmp.Querier {
 	if o.IGMPHoldTime > 0 {
 		q.HoldTime = o.IGMPHoldTime
 	}
-	q.Telemetry = o.busFor(nd)
+	q.SetTelemetry(o.busFor(nd))
 	return q
 }
 
@@ -382,108 +340,4 @@ func (s *Sim) tapHosts(o *DeployOptions) {
 			}
 		}
 	}
-}
-
-// deploySparse starts PIM-SM plus IGMP on every router.
-func (s *Sim) deploySparse(o *DeployOptions) *PIMDeployment {
-	d := &PIMDeployment{Sim: s}
-	d.bus, d.lanes = o.Telemetry, o.ShardTelemetry
-	for i, nd := range s.Routers {
-		cfg := o.Core
-		cfg.Telemetry = o.busFor(nd)
-		r := core.New(nd, cfg, s.UnicastFor(i))
-		q := s.newQuerier(nd, o)
-		q.OnJoin = func(ifc *netsim.Iface, g addr.IP) { r.LocalJoin(ifc, g) }
-		q.OnLeave = func(ifc *netsim.Iface, g addr.IP) { r.LocalLeave(ifc, g) }
-		q.OnRPMap = func(g addr.IP, rps []addr.IP) { r.LearnRPMap(g, rps) }
-		r.Start()
-		q.Start()
-		d.Routers = append(d.Routers, r)
-		d.Queriers = append(d.Queriers, q)
-	}
-	return d
-}
-
-// deployDense starts PIM dense mode plus IGMP on every router.
-func (s *Sim) deployDense(o *DeployOptions) *PIMDMDeployment {
-	d := &PIMDMDeployment{Sim: s}
-	d.bus, d.lanes = o.Telemetry, o.ShardTelemetry
-	for i, nd := range s.Routers {
-		cfg := o.Dense
-		cfg.Telemetry = o.busFor(nd)
-		r := pimdm.New(nd, cfg, s.UnicastFor(i))
-		q := s.newQuerier(nd, o)
-		q.OnJoin = func(ifc *netsim.Iface, g addr.IP) { r.LocalJoin(ifc, g) }
-		q.OnLeave = func(ifc *netsim.Iface, g addr.IP) { r.LocalLeave(ifc, g) }
-		r.Start()
-		q.Start()
-		d.Routers = append(d.Routers, r)
-		d.Queriers = append(d.Queriers, q)
-	}
-	return d
-}
-
-// deployDVMRP starts DVMRP plus IGMP on every router.
-func (s *Sim) deployDVMRP(o *DeployOptions) *DVMRPDeployment {
-	d := &DVMRPDeployment{Sim: s}
-	d.bus, d.lanes = o.Telemetry, o.ShardTelemetry
-	for i, nd := range s.Routers {
-		cfg := o.DVMRP
-		cfg.Telemetry = o.busFor(nd)
-		r := dvmrp.New(nd, cfg, s.UnicastFor(i))
-		q := s.newQuerier(nd, o)
-		q.OnJoin = func(ifc *netsim.Iface, g addr.IP) { r.LocalJoin(ifc, g) }
-		q.OnLeave = func(ifc *netsim.Iface, g addr.IP) { r.LocalLeave(ifc, g) }
-		r.Start()
-		q.Start()
-		d.Routers = append(d.Routers, r)
-		d.Queriers = append(d.Queriers, q)
-	}
-	return d
-}
-
-// deployCBT starts CBT plus IGMP on every router.
-func (s *Sim) deployCBT(o *DeployOptions) *CBTDeployment {
-	d := &CBTDeployment{Sim: s}
-	d.bus, d.lanes = o.Telemetry, o.ShardTelemetry
-	for i, nd := range s.Routers {
-		cfg := o.CBT
-		cfg.Telemetry = o.busFor(nd)
-		r := cbt.New(nd, cfg, s.UnicastFor(i))
-		q := s.newQuerier(nd, o)
-		q.OnJoin = func(ifc *netsim.Iface, g addr.IP) { r.LocalJoin(ifc, g) }
-		q.OnLeave = func(ifc *netsim.Iface, g addr.IP) { r.LocalLeave(ifc, g) }
-		r.Start()
-		q.Start()
-		d.Routers = append(d.Routers, r)
-		d.Queriers = append(d.Queriers, q)
-	}
-	return d
-}
-
-// deployMOSPF starts MOSPF plus IGMP on every router. MOSPF carries its own
-// topology view (the shared Domain), so FinishUnicast is not required.
-func (s *Sim) deployMOSPF(o *DeployOptions) *MOSPFDeployment {
-	if s.Net.Sharded() {
-		// MOSPF routers flood through a shared in-memory Domain whose state
-		// is mutated synchronously from every router — racy and
-		// order-sensitive across concurrently executing shards.
-		panic("scenario: MOSPF requires an unsharded network (shards=1)")
-	}
-	dom := mospf.NewDomain(s.Routers)
-	d := &MOSPFDeployment{Sim: s, Domain: dom}
-	d.bus = o.Telemetry
-	for _, nd := range s.Routers {
-		r := mospf.New(nd, dom)
-		r.RefreshInterval = o.MOSPFRefresh
-		r.Telemetry = o.busFor(nd)
-		q := s.newQuerier(nd, o)
-		q.OnJoin = func(ifc *netsim.Iface, g addr.IP) { r.LocalJoin(ifc, g) }
-		q.OnLeave = func(ifc *netsim.Iface, g addr.IP) { r.LocalLeave(ifc, g) }
-		r.Start()
-		q.Start()
-		d.Routers = append(d.Routers, r)
-		d.Queriers = append(d.Queriers, q)
-	}
-	return d
 }

@@ -1,14 +1,20 @@
 package scenario
 
 import (
+	"cmp"
+	"slices"
+
+	"pim/internal/addr"
 	"pim/internal/faults"
+	"pim/internal/igmp"
+	"pim/internal/netsim"
 	"pim/internal/telemetry"
 )
 
 // Deployment is the uniform surface every protocol deployment exposes: the
 // fault layer (internal/faults, internal/script, the recovery experiment)
-// kills and revives routers through it, and the telemetry consumers read the
-// event bus through it, without knowing which protocol is running.
+// kills and revives routers through it, and reads the invariant checker
+// through it, without knowing which protocol is running.
 type Deployment interface {
 	// Crash fail-stops router i: all interfaces down, engine and IGMP
 	// querier stopped with their soft state discarded.
@@ -22,12 +28,6 @@ type Deployment interface {
 	TotalState() int
 	// StateAt returns router i's forwarding/tree entry count.
 	StateAt(i int) int
-	// Telemetry returns the event bus the deployment publishes to (nil
-	// when deployed without one).
-	Telemetry() *telemetry.Bus
-	// TelemetryLanes returns the per-shard buses of a sharded deployment
-	// (nil when unsharded or deployed without telemetry).
-	TelemetryLanes() []*telemetry.Bus
 	// Checker returns the online invariant checker (nil unless enabled
 	// with WithInvariantChecker, and nil on sharded deployments, which
 	// run one checker per lane — use Violations there).
@@ -37,130 +37,105 @@ type Deployment interface {
 	Violations() []telemetry.Violation
 }
 
-// lifecycles is the seam the generic fault verbs below operate through: each
-// deployment lists the engines running on one router, in stop order. The
-// per-protocol deployments differ only here; Crash/Restart/Stop are written
-// once against it.
-type lifecycles interface {
-	engines(i int) []faults.Lifecycle
-	routers() int
-	sim() *Sim
+// Engine is what a deployment needs of one router's multicast engine: the
+// crash/restart lifecycle, the telemetry attach point every engine embeds
+// (engine.Lifecycle), the IGMP membership hooks, and its state count.
+type Engine interface {
+	faults.Lifecycle
+	Start()
+	SetTelemetry(*telemetry.Bus)
+	LocalJoin(*netsim.Iface, addr.IP)
+	LocalLeave(*netsim.Iface, addr.IP)
+	StateCount() int
 }
 
-func crashAt(d lifecycles, i int) {
-	s := d.sim()
-	faults.CrashRouter(s.Net, s.Routers[i], d.engines(i)...)
+// EngineDeployment is one multicast engine R plus an IGMP querier on every
+// router of a Sim. The per-protocol deployment types are this type or thin
+// embedders of it that add protocol-specific readers.
+type EngineDeployment[R Engine] struct {
+	Sim      *Sim
+	Routers  []R
+	Queriers []*igmp.Querier
+	checkers []*telemetry.Checker
 }
 
-func restartAt(d lifecycles, i int) {
-	s := d.sim()
-	faults.RestartRouter(s.Net, s.Routers[i], d.engines(i)...)
+// deployEngines starts the engine newEngine builds, plus an IGMP querier
+// feeding it membership, on every router of the simulation.
+func deployEngines[R Engine](s *Sim, o *DeployOptions, chks []*telemetry.Checker, newEngine func(i int, nd *netsim.Node) R) EngineDeployment[R] {
+	d := EngineDeployment[R]{Sim: s, checkers: chks}
+	for i, nd := range s.Routers {
+		r := newEngine(i, nd)
+		r.SetTelemetry(o.busFor(nd))
+		q := s.newQuerier(nd, o)
+		q.OnJoin, q.OnLeave = r.LocalJoin, r.LocalLeave
+		r.Start()
+		q.Start()
+		d.Routers = append(d.Routers, r)
+		d.Queriers = append(d.Queriers, q)
+	}
+	return d
 }
 
-func stopAll(d lifecycles) {
-	for i := 0; i < d.routers(); i++ {
+// engines lists the lifecycles running on router i, in stop order.
+func (d *EngineDeployment[R]) engines(i int) []faults.Lifecycle {
+	return []faults.Lifecycle{d.Routers[i], d.Queriers[i]}
+}
+
+// Crash fail-stops router i (see Deployment).
+func (d *EngineDeployment[R]) Crash(i int) {
+	faults.CrashRouter(d.Sim.Net, d.Sim.Routers[i], d.engines(i)...)
+}
+
+// Restart revives router i (see Deployment).
+func (d *EngineDeployment[R]) Restart(i int) {
+	faults.RestartRouter(d.Sim.Net, d.Sim.Routers[i], d.engines(i)...)
+}
+
+// Stop shuts down every engine and querier.
+func (d *EngineDeployment[R]) Stop() {
+	for i := range d.Routers {
 		for _, e := range d.engines(i) {
 			e.Stop()
 		}
 	}
 }
 
-// --- PIM sparse mode ---
+// StateAt returns router i's state count: forwarding entries, CBT tree
+// entries, or MOSPF cache entries plus membership rows.
+func (d *EngineDeployment[R]) StateAt(i int) int { return d.Routers[i].StateCount() }
 
-func (d *PIMDeployment) engines(i int) []faults.Lifecycle {
-	return []faults.Lifecycle{d.Routers[i], d.Queriers[i]}
+// TotalState sums StateAt across all routers — the network-wide state
+// metric of §1.2.
+func (d *EngineDeployment[R]) TotalState() int {
+	total := 0
+	for _, r := range d.Routers {
+		total += r.StateCount()
+	}
+	return total
 }
-func (d *PIMDeployment) routers() int { return len(d.Routers) }
-func (d *PIMDeployment) sim() *Sim    { return d.Sim }
 
-// Crash fail-stops router i (see Deployment).
-func (d *PIMDeployment) Crash(i int) { crashAt(d, i) }
-
-// Restart revives router i (see Deployment).
-func (d *PIMDeployment) Restart(i int) { restartAt(d, i) }
-
-// Stop shuts down every engine and querier.
-func (d *PIMDeployment) Stop() { stopAll(d) }
-
-// StateAt returns router i's forwarding entry count.
-func (d *PIMDeployment) StateAt(i int) int { return d.Routers[i].StateCount() }
-
-// --- PIM dense mode ---
-
-func (d *PIMDMDeployment) engines(i int) []faults.Lifecycle {
-	return []faults.Lifecycle{d.Routers[i], d.Queriers[i]}
+// Checker returns the online invariant checker (nil unless enabled; nil for
+// per-shard-lane deployments, which carry one checker per lane — see
+// Violations for the aggregate).
+func (d *EngineDeployment[R]) Checker() *telemetry.Checker {
+	if len(d.checkers) == 1 {
+		return d.checkers[0]
+	}
+	return nil
 }
-func (d *PIMDMDeployment) routers() int { return len(d.Routers) }
-func (d *PIMDMDeployment) sim() *Sim    { return d.Sim }
 
-// Crash fail-stops router i (see Deployment).
-func (d *PIMDMDeployment) Crash(i int) { crashAt(d, i) }
-
-// Restart revives router i (see Deployment).
-func (d *PIMDMDeployment) Restart(i int) { restartAt(d, i) }
-
-// Stop shuts down every engine and querier.
-func (d *PIMDMDeployment) Stop() { stopAll(d) }
-
-// StateAt returns router i's forwarding entry count.
-func (d *PIMDMDeployment) StateAt(i int) int { return d.Routers[i].StateCount() }
-
-// --- DVMRP ---
-
-func (d *DVMRPDeployment) engines(i int) []faults.Lifecycle {
-	return []faults.Lifecycle{d.Routers[i], d.Queriers[i]}
+// Violations aggregates every checker's failed invariants (one checker per
+// telemetry lane when sharded), merged into simulated-time order.
+func (d *EngineDeployment[R]) Violations() []telemetry.Violation {
+	var all []telemetry.Violation
+	for _, c := range d.checkers {
+		all = append(all, c.Violations()...)
+	}
+	slices.SortStableFunc(all, func(x, y telemetry.Violation) int {
+		if x.At != y.At {
+			return cmp.Compare(x.At, y.At)
+		}
+		return cmp.Compare(x.Router, y.Router)
+	})
+	return all
 }
-func (d *DVMRPDeployment) routers() int { return len(d.Routers) }
-func (d *DVMRPDeployment) sim() *Sim    { return d.Sim }
-
-// Crash fail-stops router i (see Deployment).
-func (d *DVMRPDeployment) Crash(i int) { crashAt(d, i) }
-
-// Restart revives router i (see Deployment).
-func (d *DVMRPDeployment) Restart(i int) { restartAt(d, i) }
-
-// Stop shuts down every engine and querier.
-func (d *DVMRPDeployment) Stop() { stopAll(d) }
-
-// StateAt returns router i's forwarding entry count.
-func (d *DVMRPDeployment) StateAt(i int) int { return d.Routers[i].StateCount() }
-
-// --- CBT ---
-
-func (d *CBTDeployment) engines(i int) []faults.Lifecycle {
-	return []faults.Lifecycle{d.Routers[i], d.Queriers[i]}
-}
-func (d *CBTDeployment) routers() int { return len(d.Routers) }
-func (d *CBTDeployment) sim() *Sim    { return d.Sim }
-
-// Crash fail-stops router i (see Deployment).
-func (d *CBTDeployment) Crash(i int) { crashAt(d, i) }
-
-// Restart revives router i (see Deployment).
-func (d *CBTDeployment) Restart(i int) { restartAt(d, i) }
-
-// Stop shuts down every engine and querier.
-func (d *CBTDeployment) Stop() { stopAll(d) }
-
-// StateAt returns router i's tree entry count.
-func (d *CBTDeployment) StateAt(i int) int { return d.Routers[i].StateCount() }
-
-// --- MOSPF ---
-
-func (d *MOSPFDeployment) engines(i int) []faults.Lifecycle {
-	return []faults.Lifecycle{d.Routers[i], d.Queriers[i]}
-}
-func (d *MOSPFDeployment) routers() int { return len(d.Routers) }
-func (d *MOSPFDeployment) sim() *Sim    { return d.Sim }
-
-// Crash fail-stops router i (see Deployment).
-func (d *MOSPFDeployment) Crash(i int) { crashAt(d, i) }
-
-// Restart revives router i (see Deployment).
-func (d *MOSPFDeployment) Restart(i int) { restartAt(d, i) }
-
-// Stop shuts down every engine and querier.
-func (d *MOSPFDeployment) Stop() { stopAll(d) }
-
-// StateAt returns router i's cache + membership entry count.
-func (d *MOSPFDeployment) StateAt(i int) int { return d.Routers[i].StateCount() }

@@ -95,18 +95,24 @@ func (s *Sim) denseFacingIfaces(i int, denseRouters map[int]bool) []*netsim.Ifac
 	return out
 }
 
+// StateAt returns router i's forwarding entry count, from whichever
+// protocol instance (sparse, dense or border) runs on it.
+func (d *InteropDeployment) StateAt(i int) int {
+	switch {
+	case d.Sparse[i] != nil:
+		return d.Sparse[i].StateCount()
+	case d.Dense[i] != nil:
+		return d.Dense[i].StateCount()
+	default:
+		return d.Borders[i].StateCount()
+	}
+}
+
 // TotalState sums forwarding entries across every protocol instance.
 func (d *InteropDeployment) TotalState() int {
 	total := 0
 	for i := range d.Sim.Routers {
-		switch {
-		case d.Sparse[i] != nil:
-			total += d.Sparse[i].StateCount()
-		case d.Dense[i] != nil:
-			total += d.Dense[i].StateCount()
-		case d.Borders[i] != nil:
-			total += d.Borders[i].StateCount()
-		}
+		total += d.StateAt(i)
 	}
 	return total
 }

@@ -2,27 +2,13 @@ package scenario
 
 import (
 	"pim/internal/core"
-	"pim/internal/igmp"
 	"pim/internal/metrics"
 )
 
 // PIMDeployment is a PIM-SM protocol instance on every router of a Sim,
 // wired to per-router IGMP queriers.
 type PIMDeployment struct {
-	deploymentBase
-	Sim      *Sim
-	Routers  []*core.Router
-	Queriers []*igmp.Querier
-}
-
-// TotalState sums multicast forwarding entries across all routers — the
-// network-wide state metric of §1.2.
-func (d *PIMDeployment) TotalState() int {
-	total := 0
-	for _, r := range d.Routers {
-		total += r.StateCount()
-	}
-	return total
+	EngineDeployment[*core.Router]
 }
 
 // StateBytes sums the MFIB memory footprint across all routers — the

@@ -426,6 +426,9 @@ func (r *runner) doTopo(st stmt) error {
 		if err != nil || nodes <= 0 {
 			return st.errf("topo random needs nodes=<n>")
 		}
+		if nodes > topology.MaxEdgeListNode {
+			return st.errf("topo random: nodes=%d above the limit %d", nodes, topology.MaxEdgeListNode)
+		}
 		degree, err := st.floatKV("degree", 4)
 		if err != nil {
 			return err
@@ -486,6 +489,9 @@ func (r *runner) doTopo(st stmt) error {
 			b, errB := strconv.Atoi(bs)
 			if errA != nil || errB != nil || a < 0 || b < 0 || a == b {
 				return st.errf("bad edge %q", spec)
+			}
+			if a > topology.MaxEdgeListNode || b > topology.MaxEdgeListNode {
+				return st.errf("edge %q: node above the limit %d", spec, topology.MaxEdgeListNode)
 			}
 			edges = append(edges, edge{a, b, delay})
 			if a > maxNode {
@@ -742,17 +748,7 @@ func (r *runner) deploy(st stmt) error {
 				}
 				denseSet[idx] = true
 			}
-			dep := r.sim.DeployInterop(cfg, pimdm.Config{PruneHoldTime: prune}, denseSet)
-			r.stateFn = func(i int) int {
-				switch {
-				case dep.Sparse[i] != nil:
-					return dep.Sparse[i].StateCount()
-				case dep.Dense[i] != nil:
-					return dep.Dense[i].StateCount()
-				default:
-					return dep.Borders[i].StateCount()
-				}
-			}
+			r.stateFn = r.sim.DeployInterop(cfg, pimdm.Config{PruneHoldTime: prune}, denseSet).StateAt
 			break
 		}
 		r.install(r.sim.Deploy(scenario.SparseMode,

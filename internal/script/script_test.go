@@ -1,8 +1,11 @@
 package script
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"pim/internal/topology"
 )
 
 const rendezvousScript = `
@@ -214,6 +217,26 @@ func TestRunErrors(t *testing.T) {
 		}
 		if _, err := s.RunWith(RunConfig{}); err == nil {
 			t.Errorf("script %q ran without error", src)
+		}
+	}
+}
+
+// TestTopoRejectsOversizedNodes pins the node bound on script topologies: an
+// edge endpoint or a random node count above topology.MaxEdgeListNode is a
+// script error, before anything is allocated for it.
+func TestTopoRejectsOversizedNodes(t *testing.T) {
+	for _, src := range []string{
+		"topo edges 0-9223372036854775807\n",
+		fmt.Sprintf("topo edges 0-1 1-%d\n", topology.MaxEdgeListNode+1),
+		fmt.Sprintf("topo random nodes=%d\n", topology.MaxEdgeListNode+1),
+		"topo random nodes=9223372036854775807\n",
+	} {
+		s, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%q: parse: %v", src, err)
+		}
+		if _, err := s.RunWith(RunConfig{}); err == nil || !strings.Contains(err.Error(), "above the limit") {
+			t.Errorf("%q: err = %v, want the node-limit rejection", src, err)
 		}
 	}
 }

@@ -42,10 +42,6 @@ type samplerLane struct {
 	// multicast state population; the dump carries the peak.
 	liveEntries   int64
 	liveEntryPeak int64
-	// stateBytes, when attached, reads the shard's MFIB memory footprint
-	// (the MFIB's Bytes estimator); sampled like gauge, peak reported.
-	stateBytes     func() int64
-	stateBytesPeak int64
 }
 
 type samplerSeries struct {
@@ -98,9 +94,6 @@ type Dump struct {
 	// EntryCreate/EntryExpire stream (no gauge needed). Sharded runs report
 	// the sum of per-lane peaks.
 	LiveEntryPeak int64 `json:"live_entry_peak,omitempty"`
-	// StateBytesPeak is the highest MFIB memory-footprint reading observed,
-	// in bytes, when a state-bytes gauge (mfib.Table.Bytes) is attached.
-	StateBytesPeak int64 `json:"state_bytes_peak,omitempty"`
 	// Shards carries the per-shard execution counters of a sharded run:
 	// events executed, barrier-wait time, and lookahead stalls per shard.
 	// Omitted for sequential runs.
@@ -143,22 +136,6 @@ func (s *Sampler) AttachLaneGauge(i int, read func() int64) {
 	s.lanes[i].gauge = read
 }
 
-// AttachStateBytesGauge wires a state-footprint reader (typically the sum of
-// the deployment's mfib.Table.Bytes) into the sampler's first lane. Like the
-// live-timer gauge it is polled on observed events only, so it is
-// timing-neutral; the peak reading lands in Dump.StateBytesPeak. On sharded
-// samplers use AttachLaneStateBytesGauge with per-shard readers.
-func (s *Sampler) AttachStateBytesGauge(read func() int64) {
-	s.AttachLaneStateBytesGauge(0, read)
-}
-
-// AttachLaneStateBytesGauge wires a state-footprint reader into lane i. The
-// reader runs on shard i's goroutine, so it must touch only that shard's
-// routers.
-func (s *Sampler) AttachLaneStateBytesGauge(i int, read func() int64) {
-	s.lanes[i].stateBytes = read
-}
-
 // AttachShardLoads wires a per-shard execution-counter reader (typically
 // netsim.Network.ShardLoads), polled once at dump time.
 func (s *Sampler) AttachShardLoads(read func() []netsim.ShardLoad) {
@@ -169,11 +146,6 @@ func (l *samplerLane) observe(ev Event) {
 	if l.gauge != nil {
 		if v := l.gauge(); v > l.gaugePeak {
 			l.gaugePeak = v
-		}
-	}
-	if l.stateBytes != nil {
-		if v := l.stateBytes(); v > l.stateBytesPeak {
-			l.stateBytesPeak = v
 		}
 	}
 	var ctrl, stateDelta, delivered, drops, timerFires int64
@@ -229,7 +201,6 @@ func (s *Sampler) Curves() Dump {
 	for _, l := range s.lanes {
 		d.LiveTimerPeak += l.gaugePeak
 		d.LiveEntryPeak += l.liveEntryPeak
-		d.StateBytesPeak += l.stateBytesPeak
 		if l.last > last {
 			last = l.last
 		}

@@ -22,6 +22,12 @@
 // event construction inside the branch. A run without telemetry therefore
 // pays one predictable-not-taken compare per would-be event and allocates
 // nothing, keeping the data-plane benchmark ledgers valid.
+//
+// An engine is given its bus one way: SetTelemetry on the engine.Lifecycle
+// every engine and the IGMP querier embed (internal/engine), which
+// scenario.Deploy calls with the deployment's bus or the node's shard lane.
+// Publish sites read `if r.Telemetry() != nil { r.Emit(ev) }`; Emit stamps
+// the time, router and epoch.
 package telemetry
 
 import (

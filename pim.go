@@ -140,7 +140,7 @@ type (
 	Mode = scenario.Protocol
 	// Deployment is the uniform surface every protocol deployment exposes:
 	// Crash/Restart/Stop lifecycle, TotalState/StateAt state metrics, and
-	// the Telemetry/Checker observability hooks.
+	// the Checker/Violations invariant-checker hooks.
 	Deployment = scenario.Deployment
 	// PIMDeployment is the concrete sparse-mode deployment (per-router
 	// core.Router and IGMP querier access).
